@@ -216,7 +216,7 @@ pub struct Cluster {
     slo_period: Option<SimDuration>,
     /// Drained SLO windows awaiting the controller, in time order.
     slo_samples: VecDeque<(SimTime, SloWindow)>,
-    /// Host `step_to` calls skipped because the host's next-event hint
+    /// Host `try_run_until` calls skipped because the host's next-event hint
     /// lay past the epoch horizon (sparse stepping).
     steps_skipped: u64,
     window: (SimTime, SimTime),
@@ -481,7 +481,7 @@ impl Cluster {
         self.outstanding[backend]
     }
 
-    /// Host `step_to` calls skipped so far by sparse stepping.
+    /// Host `try_run_until` calls skipped so far by sparse stepping.
     pub fn steps_skipped(&self) -> u64 {
         self.steps_skipped
     }
@@ -642,7 +642,7 @@ impl Cluster {
     /// the thread count.
     ///
     /// Sparse stepping: a host whose next-event hint lies past `to` has
-    /// provably nothing to do this epoch — `step_to` would pop nothing
+    /// provably nothing to do this epoch — `try_run_until` would pop nothing
     /// and mutate nothing (`pop_next_until` leaves `now` untouched when
     /// the earliest event is beyond the deadline) — so it is skipped
     /// entirely. The hint is conservative (may be early, never late),
@@ -686,7 +686,7 @@ impl Cluster {
                 if !due[i] {
                     continue;
                 }
-                if let Err(e) = h.machine.step_to(to) {
+                if let Err(e) = h.machine.try_run_until(to) {
                     first_err.get_or_insert(e);
                 }
             }
@@ -705,7 +705,13 @@ impl Cluster {
                         scope.spawn(move || {
                             hs.iter_mut()
                                 .zip(ds)
-                                .map(|(h, &d)| if d { h.machine.step_to(to) } else { Ok(()) })
+                                .map(|(h, &d)| {
+                                    if d {
+                                        h.machine.try_run_until(to)
+                                    } else {
+                                        Ok(())
+                                    }
+                                })
                                 .collect::<Vec<_>>()
                         })
                     })

@@ -95,8 +95,14 @@ impl WidePool {
 /// `u64` payload words ride the [`WidePool`] side table. Together with
 /// the wheel's per-node bookkeeping this keeps every slab node within a
 /// single 64-byte cache line (asserted below).
-#[derive(Clone, Copy, Debug)]
-enum Ev {
+///
+/// `W` is the wide-payload slot: a [`WideIdx`] while the event is in
+/// flight, the resolved `u64` in checkpoint and migration images. Images
+/// store wide words by value, not by slot index — slot assignment is a
+/// run-local allocation detail two behaviorally identical machines can
+/// disagree on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ev<W = WideIdx> {
     /// Hypervisor per-pCPU tick (10 ms).
     HvTick(u32),
     /// Hypervisor accounting pass (30 ms).
@@ -104,7 +110,7 @@ enum Ev {
     /// vScale extendability ticker (10 ms).
     ExtendTick,
     /// End of a scheduling quantum; stale if the pCPU's generation moved.
-    SliceEnd { pcpu: u32, gen: WideIdx },
+    SliceEnd { pcpu: u32, gen: W },
     /// A guest vCPU's next local event (cancellable).
     Plan { dom: u32, vcpu: u32 },
     /// A reschedule IPI lands on a (hopefully still running) vCPU.
@@ -114,7 +120,7 @@ enum Ev {
     /// The daemon's polling timer.
     DaemonTimer { dom: u32 },
     /// An external I/O event (e.g. a network request) arrives at a port.
-    IoArrival { dom: u32, port: u32, items: WideIdx },
+    IoArrival { dom: u32, port: u32, items: W },
     /// A NIC transmission completes.
     NicDrained { dom: u32 },
     /// The non-stall part of a hotplug operation finishes.
@@ -127,7 +133,7 @@ enum Ev {
     /// sequence is still outstanding, re-ring the doorbell (the retransmit
     /// itself subject to injection) and advance the backoff ladder. Only
     /// scheduled by an active fault plan; cancelled eagerly on ack.
-    Retransmit { dom: u32, port: u32, seq: WideIdx },
+    Retransmit { dom: u32, port: u32, seq: W },
     /// An aborted hotplug removal unwinds out of `stop_machine`: the
     /// partial stall ends and the target vCPU stays online.
     HotplugAborted { dom: u32 },
@@ -216,6 +222,58 @@ impl Ev {
     fn hotplug_aborted(dom: DomId) -> Ev {
         Ev::HotplugAborted {
             dom: compact(dom.index()),
+        }
+    }
+}
+
+impl<W> Ev<W> {
+    /// The same event with its wide slot mapped through `f`: resolving
+    /// ([`WidePool::take`]) on the way into an image, interning
+    /// ([`WidePool::intern`]) on the way back onto the wheel.
+    fn map_wide<V>(self, f: impl FnOnce(W) -> V) -> Ev<V> {
+        match self {
+            Ev::HvTick(p) => Ev::HvTick(p),
+            Ev::HvAcct => Ev::HvAcct,
+            Ev::ExtendTick => Ev::ExtendTick,
+            Ev::SliceEnd { pcpu, gen } => Ev::SliceEnd { pcpu, gen: f(gen) },
+            Ev::Plan { dom, vcpu } => Ev::Plan { dom, vcpu },
+            Ev::IpiDeliver { dom, vcpu } => Ev::IpiDeliver { dom, vcpu },
+            Ev::SleepWake { dom, tid } => Ev::SleepWake { dom, tid },
+            Ev::DaemonTimer { dom } => Ev::DaemonTimer { dom },
+            Ev::IoArrival { dom, port, items } => Ev::IoArrival {
+                dom,
+                port,
+                items: f(items),
+            },
+            Ev::NicDrained { dom } => Ev::NicDrained { dom },
+            Ev::HotplugDone { dom, vcpu, online } => Ev::HotplugDone { dom, vcpu, online },
+            Ev::PortRecover { dom, port } => Ev::PortRecover { dom, port },
+            Ev::Retransmit { dom, port, seq } => Ev::Retransmit {
+                dom,
+                port,
+                seq: f(seq),
+            },
+            Ev::HotplugAborted { dom } => Ev::HotplugAborted { dom },
+        }
+    }
+
+    /// The owning domain's index, or `None` for the four host-wide kinds
+    /// (hypervisor tick, accounting pass, extendability tick, slice end).
+    /// Extraction moves exactly the events that have one; installation
+    /// rewrites it to the destination domain.
+    fn dom_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Ev::HvTick(_) | Ev::HvAcct | Ev::ExtendTick | Ev::SliceEnd { .. } => None,
+            Ev::Plan { dom, .. }
+            | Ev::IpiDeliver { dom, .. }
+            | Ev::SleepWake { dom, .. }
+            | Ev::DaemonTimer { dom }
+            | Ev::IoArrival { dom, .. }
+            | Ev::NicDrained { dom }
+            | Ev::HotplugDone { dom, .. }
+            | Ev::PortRecover { dom, .. }
+            | Ev::Retransmit { dom, .. }
+            | Ev::HotplugAborted { dom } => Some(dom),
         }
     }
 }
@@ -771,6 +829,16 @@ impl<S: HypervisorSched> Machine<S> {
     /// Watchdog-supervised [`Machine::run_until`]: never hangs and never
     /// panics on the supervised paths — a wedged run returns a [`SimError`]
     /// naming the stalled layer, with diagnostics attached.
+    ///
+    /// This is also the cluster layer's epoch driver, under the lockstep
+    /// contract: a cluster steps its hosts in epochs, and within one epoch
+    /// each host evolves *only* from events already in its queue —
+    /// cross-host messages are injected (via [`Machine::inject_io`])
+    /// strictly before the epoch that delivers them begins. Under that
+    /// contract it is safe to call from a worker thread per host (machines
+    /// share nothing), and a host's evolution is a pure function of its
+    /// injected events, independent of how hosts are partitioned across
+    /// workers.
     pub fn try_run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
         loop {
             // `pop_next_until` checks the cheap hint before settling, and
@@ -786,26 +854,10 @@ impl<S: HypervisorSched> Machine<S> {
         }
     }
 
-    /// The cluster layer's epoch driver: advances this host to `deadline`
-    /// under watchdog supervision, processing every local event with
-    /// `t <= deadline`.
-    ///
-    /// The lockstep contract: a cluster steps its hosts in epochs, and
-    /// within one epoch each host evolves *only* from events already in
-    /// its queue — cross-host messages are injected (via
-    /// [`Machine::inject_io`]) strictly before the epoch that delivers
-    /// them begins. Under that contract `step_to` is safe to call from a
-    /// worker thread per host (machines share nothing), and a host's
-    /// evolution is a pure function of its injected events, independent
-    /// of how hosts are partitioned across workers.
-    pub fn step_to(&mut self, deadline: SimTime) -> Result<(), SimError> {
-        self.try_run_until(deadline)
-    }
-
     /// Cheap lower bound on this machine's next event time, or `None`
     /// when its queue is empty. Inherits the wheel hint's contract:
     /// conservative (may be earlier than the true next event) but never
-    /// late, so a caller that skips a [`Machine::step_to`] because the
+    /// late, so a caller that skips a [`Machine::try_run_until`] because the
     /// hint lies past its deadline skips only a guaranteed no-op — the
     /// cluster's sparse host stepping rests on exactly this.
     pub fn peek_time_hint(&self) -> Option<SimTime> {
@@ -1960,254 +2012,120 @@ impl<S: HypervisorSched> Machine<S> {
 // Checkpoint/restore and live-migration state transfer.
 // ----------------------------------------------------------------------
 
-/// A machine event in portable checkpoint form: the compact in-flight
-/// representation [`Ev`] with its [`WidePool`] payload resolved. Images
-/// store wide words by value, not by slot index — slot assignment is a
-/// run-local allocation detail two behaviorally identical machines can
-/// disagree on.
-#[derive(Clone, Copy, Debug)]
-enum SavedEv {
-    HvTick(u32),
-    HvAcct,
-    ExtendTick,
-    SliceEnd { pcpu: u32, gen: u64 },
-    Plan { dom: u32, vcpu: u32 },
-    IpiDeliver { dom: u32, vcpu: u32 },
-    SleepWake { dom: u32, tid: u32 },
-    DaemonTimer { dom: u32 },
-    IoArrival { dom: u32, port: u32, items: u64 },
-    NicDrained { dom: u32 },
-    HotplugDone { dom: u32, vcpu: u32, online: bool },
-    PortRecover { dom: u32, port: u32 },
-    Retransmit { dom: u32, port: u32, seq: u64 },
-    HotplugAborted { dom: u32 },
-}
-
-impl SavedEv {
+/// The one event encoding of checkpoints and migration images: a tag
+/// byte, then the raw fields in declaration order, wide words by value.
+impl Ev<u64> {
     fn save(&self, w: &mut SnapWriter) {
         match *self {
-            SavedEv::HvTick(p) => {
+            Ev::HvTick(p) => {
                 w.u8(0);
                 w.u32(p);
             }
-            SavedEv::HvAcct => w.u8(1),
-            SavedEv::ExtendTick => w.u8(2),
-            SavedEv::SliceEnd { pcpu, gen } => {
+            Ev::HvAcct => w.u8(1),
+            Ev::ExtendTick => w.u8(2),
+            Ev::SliceEnd { pcpu, gen } => {
                 w.u8(3);
                 w.u32(pcpu);
                 w.u64(gen);
             }
-            SavedEv::Plan { dom, vcpu } => {
+            Ev::Plan { dom, vcpu } => {
                 w.u8(4);
                 w.u32(dom);
                 w.u32(vcpu);
             }
-            SavedEv::IpiDeliver { dom, vcpu } => {
+            Ev::IpiDeliver { dom, vcpu } => {
                 w.u8(5);
                 w.u32(dom);
                 w.u32(vcpu);
             }
-            SavedEv::SleepWake { dom, tid } => {
+            Ev::SleepWake { dom, tid } => {
                 w.u8(6);
                 w.u32(dom);
                 w.u32(tid);
             }
-            SavedEv::DaemonTimer { dom } => {
+            Ev::DaemonTimer { dom } => {
                 w.u8(7);
                 w.u32(dom);
             }
-            SavedEv::IoArrival { dom, port, items } => {
+            Ev::IoArrival { dom, port, items } => {
                 w.u8(8);
                 w.u32(dom);
                 w.u32(port);
                 w.u64(items);
             }
-            SavedEv::NicDrained { dom } => {
+            Ev::NicDrained { dom } => {
                 w.u8(9);
                 w.u32(dom);
             }
-            SavedEv::HotplugDone { dom, vcpu, online } => {
+            Ev::HotplugDone { dom, vcpu, online } => {
                 w.u8(10);
                 w.u32(dom);
                 w.u32(vcpu);
                 w.bool(online);
             }
-            SavedEv::PortRecover { dom, port } => {
+            Ev::PortRecover { dom, port } => {
                 w.u8(11);
                 w.u32(dom);
                 w.u32(port);
             }
-            SavedEv::Retransmit { dom, port, seq } => {
+            Ev::Retransmit { dom, port, seq } => {
                 w.u8(12);
                 w.u32(dom);
                 w.u32(port);
                 w.u64(seq);
             }
-            SavedEv::HotplugAborted { dom } => {
+            Ev::HotplugAborted { dom } => {
                 w.u8(13);
                 w.u32(dom);
             }
         }
     }
 
-    fn load(r: &mut SnapReader<'_>) -> SavedEv {
+    fn load(r: &mut SnapReader<'_>) -> Ev<u64> {
         match r.u8() {
-            0 => SavedEv::HvTick(r.u32()),
-            1 => SavedEv::HvAcct,
-            2 => SavedEv::ExtendTick,
-            3 => SavedEv::SliceEnd {
+            0 => Ev::HvTick(r.u32()),
+            1 => Ev::HvAcct,
+            2 => Ev::ExtendTick,
+            3 => Ev::SliceEnd {
                 pcpu: r.u32(),
                 gen: r.u64(),
             },
-            4 => SavedEv::Plan {
+            4 => Ev::Plan {
                 dom: r.u32(),
                 vcpu: r.u32(),
             },
-            5 => SavedEv::IpiDeliver {
+            5 => Ev::IpiDeliver {
                 dom: r.u32(),
                 vcpu: r.u32(),
             },
-            6 => SavedEv::SleepWake {
+            6 => Ev::SleepWake {
                 dom: r.u32(),
                 tid: r.u32(),
             },
-            7 => SavedEv::DaemonTimer { dom: r.u32() },
-            8 => SavedEv::IoArrival {
+            7 => Ev::DaemonTimer { dom: r.u32() },
+            8 => Ev::IoArrival {
                 dom: r.u32(),
                 port: r.u32(),
                 items: r.u64(),
             },
-            9 => SavedEv::NicDrained { dom: r.u32() },
-            10 => SavedEv::HotplugDone {
+            9 => Ev::NicDrained { dom: r.u32() },
+            10 => Ev::HotplugDone {
                 dom: r.u32(),
                 vcpu: r.u32(),
                 online: r.bool(),
             },
-            11 => SavedEv::PortRecover {
+            11 => Ev::PortRecover {
                 dom: r.u32(),
                 port: r.u32(),
             },
-            12 => SavedEv::Retransmit {
+            12 => Ev::Retransmit {
                 dom: r.u32(),
                 port: r.u32(),
                 seq: r.u64(),
             },
-            13 => SavedEv::HotplugAborted { dom: r.u32() },
+            13 => Ev::HotplugAborted { dom: r.u32() },
             t => panic!("unknown machine event tag {t}"),
         }
-    }
-}
-
-/// A per-VM in-flight event in migration-image form: the owning domain
-/// id is stripped (the destination host re-maps the image onto its own
-/// domain index) and wide payloads travel by value.
-#[derive(Clone, Copy, Debug)]
-enum VmEv {
-    IpiDeliver { vcpu: u32 },
-    SleepWake { tid: u32 },
-    DaemonTimer,
-    IoArrival { port: u32, items: u64 },
-    NicDrained,
-    HotplugDone { vcpu: u32, online: bool },
-    PortRecover { port: u32 },
-    Retransmit { port: u32, seq: u64 },
-    HotplugAborted,
-}
-
-impl VmEv {
-    fn save(&self, w: &mut SnapWriter) {
-        match *self {
-            VmEv::IpiDeliver { vcpu } => {
-                w.u8(0);
-                w.u32(vcpu);
-            }
-            VmEv::SleepWake { tid } => {
-                w.u8(1);
-                w.u32(tid);
-            }
-            VmEv::DaemonTimer => w.u8(2),
-            VmEv::IoArrival { port, items } => {
-                w.u8(3);
-                w.u32(port);
-                w.u64(items);
-            }
-            VmEv::NicDrained => w.u8(4),
-            VmEv::HotplugDone { vcpu, online } => {
-                w.u8(5);
-                w.u32(vcpu);
-                w.bool(online);
-            }
-            VmEv::PortRecover { port } => {
-                w.u8(6);
-                w.u32(port);
-            }
-            VmEv::Retransmit { port, seq } => {
-                w.u8(7);
-                w.u32(port);
-                w.u64(seq);
-            }
-            VmEv::HotplugAborted => w.u8(8),
-        }
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> VmEv {
-        match r.u8() {
-            0 => VmEv::IpiDeliver { vcpu: r.u32() },
-            1 => VmEv::SleepWake { tid: r.u32() },
-            2 => VmEv::DaemonTimer,
-            3 => VmEv::IoArrival {
-                port: r.u32(),
-                items: r.u64(),
-            },
-            4 => VmEv::NicDrained,
-            5 => VmEv::HotplugDone {
-                vcpu: r.u32(),
-                online: r.bool(),
-            },
-            6 => VmEv::PortRecover { port: r.u32() },
-            7 => VmEv::Retransmit {
-                port: r.u32(),
-                seq: r.u64(),
-            },
-            8 => VmEv::HotplugAborted,
-            t => panic!("unknown vm event tag {t}"),
-        }
-    }
-}
-
-/// Where a drained event goes when one domain is being extracted.
-enum VmSplit {
-    /// Host-wide or other-domain event: stays on the source machine.
-    Host(SavedEv),
-    /// Belongs to the extracted domain: travels in the migration image.
-    Vm(VmEv),
-    /// Belongs to the extracted domain but is derived state the install
-    /// path recomputes (plan events are re-armed by the wake routing).
-    Dropped,
-}
-
-fn split_for(ev: SavedEv, di: u32) -> VmSplit {
-    match ev {
-        SavedEv::HvTick(_) | SavedEv::HvAcct | SavedEv::ExtendTick | SavedEv::SliceEnd { .. } => {
-            VmSplit::Host(ev)
-        }
-        SavedEv::Plan { dom, .. } if dom == di => VmSplit::Dropped,
-        SavedEv::IpiDeliver { dom, vcpu } if dom == di => VmSplit::Vm(VmEv::IpiDeliver { vcpu }),
-        SavedEv::SleepWake { dom, tid } if dom == di => VmSplit::Vm(VmEv::SleepWake { tid }),
-        SavedEv::DaemonTimer { dom } if dom == di => VmSplit::Vm(VmEv::DaemonTimer),
-        SavedEv::IoArrival { dom, port, items } if dom == di => {
-            VmSplit::Vm(VmEv::IoArrival { port, items })
-        }
-        SavedEv::NicDrained { dom } if dom == di => VmSplit::Vm(VmEv::NicDrained),
-        SavedEv::HotplugDone { dom, vcpu, online } if dom == di => {
-            VmSplit::Vm(VmEv::HotplugDone { vcpu, online })
-        }
-        SavedEv::PortRecover { dom, port } if dom == di => VmSplit::Vm(VmEv::PortRecover { port }),
-        SavedEv::Retransmit { dom, port, seq } if dom == di => {
-            VmSplit::Vm(VmEv::Retransmit { port, seq })
-        }
-        SavedEv::HotplugAborted { dom } if dom == di => VmSplit::Vm(VmEv::HotplugAborted),
-        other => VmSplit::Host(other),
     }
 }
 
@@ -2344,8 +2262,7 @@ impl<S: HypervisorSched> Machine<S> {
     /// payloads by value. All outstanding [`EventHandle`]s die with the
     /// drain, so the plan/retransmit handle tables are cleared here;
     /// [`Machine::requeue_events`] rebuilds them.
-    fn drain_events(&mut self) -> Vec<(SimTime, SavedEv)> {
-        let drained = self.queue.drain_ordered();
+    fn drain_events(&mut self) -> Vec<(SimTime, Ev<u64>)> {
         for h in self.plan_handles.values_mut() {
             *h = None;
         }
@@ -2354,37 +2271,12 @@ impl<S: HypervisorSched> Machine<S> {
                 *h = None;
             }
         }
-        let mut out = Vec::with_capacity(drained.len());
-        for (t, ev) in drained {
-            let sev = match ev {
-                Ev::HvTick(p) => SavedEv::HvTick(p),
-                Ev::HvAcct => SavedEv::HvAcct,
-                Ev::ExtendTick => SavedEv::ExtendTick,
-                Ev::SliceEnd { pcpu, gen } => SavedEv::SliceEnd {
-                    pcpu,
-                    gen: self.wide.take(gen),
-                },
-                Ev::Plan { dom, vcpu } => SavedEv::Plan { dom, vcpu },
-                Ev::IpiDeliver { dom, vcpu } => SavedEv::IpiDeliver { dom, vcpu },
-                Ev::SleepWake { dom, tid } => SavedEv::SleepWake { dom, tid },
-                Ev::DaemonTimer { dom } => SavedEv::DaemonTimer { dom },
-                Ev::IoArrival { dom, port, items } => SavedEv::IoArrival {
-                    dom,
-                    port,
-                    items: self.wide.take(items),
-                },
-                Ev::NicDrained { dom } => SavedEv::NicDrained { dom },
-                Ev::HotplugDone { dom, vcpu, online } => SavedEv::HotplugDone { dom, vcpu, online },
-                Ev::PortRecover { dom, port } => SavedEv::PortRecover { dom, port },
-                Ev::Retransmit { dom, port, seq } => SavedEv::Retransmit {
-                    dom,
-                    port,
-                    seq: self.wide.take(seq),
-                },
-                Ev::HotplugAborted { dom } => SavedEv::HotplugAborted { dom },
-            };
-            out.push((t, sev));
-        }
+        let out = self
+            .queue
+            .drain_ordered()
+            .into_iter()
+            .map(|(t, ev)| (t, ev.map_wide(|i| self.wide.take(i))))
+            .collect();
         // Every slot was taken: reset the pool so the rebuilt queue's
         // slot assignment is a pure function of the event list.
         self.wide = WidePool::default();
@@ -2395,66 +2287,23 @@ impl<S: HypervisorSched> Machine<S> {
     /// order exactly — re-interning wide payloads and rebuilding the
     /// cancellable handle tables. Times below `floor` clamp to it
     /// (relative order is preserved by the `(time, seq)` tie-break).
-    fn requeue_events(&mut self, evs: Vec<(SimTime, SavedEv)>, floor: SimTime) {
-        for (t, sev) in evs {
-            let t = t.max(floor);
-            match sev {
-                SavedEv::HvTick(p) => {
-                    self.queue.schedule(t, Ev::HvTick(p));
-                }
-                SavedEv::HvAcct => {
-                    self.queue.schedule(t, Ev::HvAcct);
-                }
-                SavedEv::ExtendTick => {
-                    self.queue.schedule(t, Ev::ExtendTick);
-                }
-                SavedEv::SliceEnd { pcpu, gen } => {
-                    let gen = self.wide.intern(gen);
-                    self.queue.schedule(t, Ev::SliceEnd { pcpu, gen });
-                }
-                SavedEv::Plan { dom, vcpu } => {
-                    let h = self.queue.schedule(t, Ev::Plan { dom, vcpu });
+    fn requeue_events(
+        &mut self,
+        evs: impl IntoIterator<Item = (SimTime, Ev<u64>)>,
+        floor: SimTime,
+    ) {
+        for (t, ev) in evs {
+            let ev = ev.map_wide(|v| self.wide.intern(v));
+            let h = self.queue.schedule(t.max(floor), ev);
+            match ev {
+                Ev::Plan { dom, vcpu } => {
                     let gv = GlobalVcpu::new(DomId(dom as usize), VcpuId(vcpu as usize));
                     self.plan_handles[gv] = Some(h);
                 }
-                SavedEv::IpiDeliver { dom, vcpu } => {
-                    self.queue.schedule(t, Ev::IpiDeliver { dom, vcpu });
+                Ev::Retransmit { dom, port, seq } => {
+                    self.guests[dom as usize].retx_handles[port as usize] = Some((h, seq));
                 }
-                SavedEv::SleepWake { dom, tid } => {
-                    self.queue.schedule(t, Ev::SleepWake { dom, tid });
-                }
-                SavedEv::DaemonTimer { dom } => {
-                    self.queue.schedule(t, Ev::DaemonTimer { dom });
-                }
-                SavedEv::IoArrival { dom, port, items } => {
-                    let items = self.wide.intern(items);
-                    self.queue.schedule(t, Ev::IoArrival { dom, port, items });
-                }
-                SavedEv::NicDrained { dom } => {
-                    self.queue.schedule(t, Ev::NicDrained { dom });
-                }
-                SavedEv::HotplugDone { dom, vcpu, online } => {
-                    self.queue
-                        .schedule(t, Ev::HotplugDone { dom, vcpu, online });
-                }
-                SavedEv::PortRecover { dom, port } => {
-                    self.queue.schedule(t, Ev::PortRecover { dom, port });
-                }
-                SavedEv::Retransmit { dom, port, seq } => {
-                    let widx = self.wide.intern(seq);
-                    let h = self.queue.schedule(
-                        t,
-                        Ev::Retransmit {
-                            dom,
-                            port,
-                            seq: widx,
-                        },
-                    );
-                    self.guests[dom as usize].retx_handles[port as usize] = Some((h, widx));
-                }
-                SavedEv::HotplugAborted { dom } => {
-                    self.queue.schedule(t, Ev::HotplugAborted { dom });
-                }
+                _ => {}
             }
         }
     }
@@ -2565,18 +2414,12 @@ impl<S: HypervisorSched> Machine<S> {
         self.wd_progress_fp = (r.u64(), r.u64());
         self.wd_progress_at = r.time();
         r.section("events");
-        let evs: Vec<(SimTime, SavedEv)> = r.seq(|r| (r.time(), SavedEv::load(r)));
+        let evs: Vec<(SimTime, Ev<u64>)> = r.seq(|r| (r.time(), Ev::load(r)));
         assert!(r.exhausted(), "machine image has trailing bytes");
+        // Discard the twin's own wheel (and with it its wide slots and
+        // handles) before taking over the image's clock and events.
+        self.drain_events();
         self.queue = EventQueue::with_clock(now, delivered);
-        self.wide = WidePool::default();
-        for h in self.plan_handles.values_mut() {
-            *h = None;
-        }
-        for g in &mut self.guests {
-            for h in &mut g.retx_handles {
-                *h = None;
-            }
-        }
         self.requeue_events(evs, SimTime::ZERO);
         self.fault_error = None;
     }
@@ -2607,12 +2450,12 @@ impl<S: HypervisorSched> Machine<S> {
     /// Must be called at an event boundary.
     pub fn pending_io_items(&mut self, dom: DomId) -> u64 {
         self.assert_at_rest();
-        let di = dom.index() as u32;
+        let di = compact(dom.index());
         let evs = self.drain_events();
         let items = evs
             .iter()
             .map(|(_, ev)| match *ev {
-                SavedEv::IoArrival { dom: d, items, .. } if d == di => items,
+                Ev::IoArrival { dom: d, items, .. } if d == di => items,
                 _ => 0,
             })
             .sum();
@@ -2642,15 +2485,16 @@ impl<S: HypervisorSched> Machine<S> {
         // Split the wheel: host and other-domain events stay, this
         // domain's travel in the image (its plan events are derived
         // state, recomputed by the install-side wake routing).
-        let evs = self.drain_events();
         let di = compact(dom.index());
-        let mut keep = Vec::with_capacity(evs.len());
-        let mut taken: Vec<(SimTime, VmEv)> = Vec::new();
-        for (t, ev) in evs {
-            match split_for(ev, di) {
-                VmSplit::Host(ev) => keep.push((t, ev)),
-                VmSplit::Vm(v) => taken.push((t, v)),
-                VmSplit::Dropped => {}
+        let mut keep = Vec::new();
+        let mut taken = Vec::new();
+        for (t, mut ev) in self.drain_events() {
+            if ev.dom_mut().is_some_and(|d| *d == di) {
+                if !matches!(ev, Ev::Plan { .. }) {
+                    taken.push((t, ev));
+                }
+            } else {
+                keep.push((t, ev));
             }
         }
         self.requeue_events(keep, SimTime::ZERO);
@@ -2696,65 +2540,14 @@ impl<S: HypervisorSched> Machine<S> {
             }),
         };
         load_guest(&mut r, &mut self.guests[dom.index()]);
-        let evs: Vec<(SimTime, VmEv)> = r.seq(|r| (r.time(), VmEv::load(r)));
+        let evs: Vec<(SimTime, Ev<u64>)> = r.seq(|r| (r.time(), Ev::load(r)));
         assert!(r.exhausted(), "vm image has trailing bytes");
         let di = compact(dom.index());
-        for (t, e) in evs {
-            let t = t.max(now);
-            match e {
-                VmEv::IpiDeliver { vcpu } => {
-                    self.queue.schedule(t, Ev::IpiDeliver { dom: di, vcpu });
-                }
-                VmEv::SleepWake { tid } => {
-                    self.queue.schedule(t, Ev::SleepWake { dom: di, tid });
-                }
-                VmEv::DaemonTimer => {
-                    self.queue.schedule(t, Ev::DaemonTimer { dom: di });
-                }
-                VmEv::IoArrival { port, items } => {
-                    let items = self.wide.intern(items);
-                    self.queue.schedule(
-                        t,
-                        Ev::IoArrival {
-                            dom: di,
-                            port,
-                            items,
-                        },
-                    );
-                }
-                VmEv::NicDrained => {
-                    self.queue.schedule(t, Ev::NicDrained { dom: di });
-                }
-                VmEv::HotplugDone { vcpu, online } => {
-                    self.queue.schedule(
-                        t,
-                        Ev::HotplugDone {
-                            dom: di,
-                            vcpu,
-                            online,
-                        },
-                    );
-                }
-                VmEv::PortRecover { port } => {
-                    self.queue.schedule(t, Ev::PortRecover { dom: di, port });
-                }
-                VmEv::Retransmit { port, seq } => {
-                    let widx = self.wide.intern(seq);
-                    let h = self.queue.schedule(
-                        t,
-                        Ev::Retransmit {
-                            dom: di,
-                            port,
-                            seq: widx,
-                        },
-                    );
-                    self.guests[dom.index()].retx_handles[port as usize] = Some((h, widx));
-                }
-                VmEv::HotplugAborted => {
-                    self.queue.schedule(t, Ev::HotplugAborted { dom: di });
-                }
-            }
-        }
+        let evs = evs.into_iter().map(|(t, mut ev)| {
+            *ev.dom_mut().expect("host-wide event in a vm image") = di;
+            (t, ev)
+        });
+        self.requeue_events(evs, now);
         // Wake what was runnable at extraction; Run events route through
         // vcpu_start, pending-port delivery, slice arming, and replan.
         self.hv_and_drain(now, |hv, ev| hv.import_domain(dom, &export, now, ev));
@@ -2798,6 +2591,102 @@ mod tests {
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(pool.slots.len(), 2, "steady state does not grow the pool");
         assert_eq!((pool.take(b), pool.take(c)), (9, 11));
+    }
+
+    /// One event of each of the 14 kinds in image form, the four
+    /// host-wide kinds first.
+    fn every_event_kind() -> [Ev<u64>; 14] {
+        [
+            Ev::HvTick(1),
+            Ev::HvAcct,
+            Ev::ExtendTick,
+            Ev::SliceEnd {
+                pcpu: 2,
+                gen: u64::MAX,
+            },
+            Ev::Plan { dom: 3, vcpu: 4 },
+            Ev::IpiDeliver { dom: 5, vcpu: 6 },
+            Ev::SleepWake { dom: 7, tid: 8 },
+            Ev::DaemonTimer { dom: 9 },
+            Ev::IoArrival {
+                dom: 10,
+                port: 11,
+                items: 1 << 40,
+            },
+            Ev::NicDrained { dom: 12 },
+            Ev::HotplugDone {
+                dom: 13,
+                vcpu: 14,
+                online: true,
+            },
+            Ev::PortRecover { dom: 15, port: 16 },
+            Ev::Retransmit {
+                dom: 17,
+                port: 18,
+                seq: 19,
+            },
+            Ev::HotplugAborted { dom: 20 },
+        ]
+    }
+
+    /// Every event kind survives the image codec and a trip onto the
+    /// wheel and back through the wide pool, and exactly the host-wide
+    /// kinds have no owning domain.
+    #[test]
+    fn event_codec_round_trips_every_kind() {
+        let kinds = every_event_kind();
+        let distinct: std::collections::HashSet<_> =
+            kinds.iter().map(std::mem::discriminant).collect();
+        assert_eq!(distinct.len(), kinds.len(), "one event per kind");
+
+        let mut w = SnapWriter::new();
+        w.seq(kinds.iter(), |w, e| e.save(w));
+        let image = w.finish();
+        let mut r = SnapReader::open(&image).unwrap();
+        let back: Vec<Ev<u64>> = r.seq(Ev::load);
+        assert!(r.exhausted(), "codec left trailing bytes");
+        assert_eq!(back, kinds);
+
+        let mut pool = WidePool::default();
+        let in_flight: Vec<Ev> = kinds
+            .iter()
+            .map(|e| e.map_wide(|v| pool.intern(v)))
+            .collect();
+        assert_eq!(pool.slots.len(), 3, "one slot per wide word");
+        let resolved: Vec<Ev<u64>> = in_flight
+            .into_iter()
+            .map(|e| e.map_wide(|i| pool.take(i)))
+            .collect();
+        assert_eq!(resolved, kinds);
+        assert_eq!(pool.free.len(), pool.slots.len(), "pool ends empty");
+        for e in kinds {
+            e.map_wide(|v| pool.intern(v));
+        }
+        assert_eq!(pool.slots.len(), 3, "released slots are reused");
+
+        for (i, mut e) in kinds.into_iter().enumerate() {
+            match e.dom_mut() {
+                None => assert!(i < 4, "{e:?} lost its domain"),
+                Some(d) => {
+                    assert!(i >= 4, "host-wide {e:?} claims a domain");
+                    *d = 99;
+                }
+            }
+            let mut w = SnapWriter::new();
+            e.save(&mut w);
+            let image = w.finish();
+            let mut back = Ev::load(&mut SnapReader::open(&image).unwrap());
+            assert_eq!(back.dom_mut().copied(), (i >= 4).then_some(99), "{e:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown machine event tag 14")]
+    fn unknown_event_tag_is_rejected() {
+        let mut w = SnapWriter::new();
+        w.u8(14);
+        let image = w.finish();
+        Ev::load(&mut SnapReader::open(&image).unwrap());
     }
 
     #[test]
@@ -3129,6 +3018,70 @@ mod tests {
             m.domain_stats(vm).run_total >= SimDuration::from_ms(300),
             "all compute accounted for after rollback"
         );
+    }
+
+    /// Migration onto another host whose receiving domain has a
+    /// different index: the image's in-flight I/O arrival, sleep timer
+    /// and daemon timer all fire on the destination domain, and the
+    /// source shell stays inert.
+    #[test]
+    fn vm_image_installs_into_a_different_domain() {
+        let build = |fillers: usize| {
+            let mut m = Machine::new(MachineConfig {
+                n_pcpus: 2,
+                seed: 5,
+                ..MachineConfig::default()
+            });
+            for _ in 0..fillers {
+                m.add_domain(DomainSpec::fixed(1));
+            }
+            let vm = m.add_domain(SystemConfig::VScale.domain_spec(2));
+            let q = m.guest_mut(vm).new_io_queue();
+            let port = m.bind_io_port(vm, q, VcpuId(0));
+            let sleeper = m.guest_mut(vm).spawn(
+                ThreadKind::User,
+                Box::new(Script::new(vec![ThreadAction::Sleep(
+                    SimDuration::from_ms(30),
+                )])),
+            );
+            let server = m.guest_mut(vm).spawn(
+                ThreadKind::User,
+                Box::new(Script::new(vec![
+                    ThreadAction::IoWait(q),
+                    ThreadAction::Compute(SimDuration::from_us(50)),
+                ])),
+            );
+            (m, vm, port, [sleeper, server])
+        };
+        let (mut src, vm_src, port, threads) = build(0);
+        for t in threads {
+            src.start_thread(vm_src, t);
+        }
+        src.inject_io(vm_src, port, SimTime::from_ms(40), 1);
+        src.run_until(SimTime::from_ms(10));
+        let reads_before = src.domain_stats(vm_src).daemon_reads;
+        let img = src.extract_vm(vm_src);
+
+        let (mut dst, vm_dst, _, _) = build(2);
+        assert_ne!(vm_src, vm_dst);
+        dst.run_until(SimTime::from_ms(10));
+        let _idle_shell = dst.extract_vm(vm_dst);
+        dst.install_vm(vm_dst, &img);
+        dst.run_until(SimTime::from_ms(100));
+        assert!(
+            dst.guest(vm_dst).all_exited(),
+            "sleep timer and I/O arrival fire on the destination"
+        );
+        assert_eq!(dst.io_logs(vm_dst).0, &[SimTime::from_ms(40)]);
+        assert!(
+            dst.domain_stats(vm_dst).daemon_reads > reads_before,
+            "daemon timer keeps polling on the destination"
+        );
+
+        src.run_until(SimTime::from_ms(100));
+        assert!(!src.guest(vm_src).all_exited());
+        assert!(src.io_logs(vm_src).0.is_empty());
+        assert_eq!(src.domain_stats(vm_src).daemon_reads, reads_before);
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub struct ElasticCurve {
     pub in_flight_end: u64,
     /// Aggregate measured-latency histogram over the whole run.
     pub latency_us: Histogram,
-    /// Host `step_to` calls the sparse lockstep loop skipped.
+    /// Host `try_run_until` calls the sparse lockstep loop skipped.
     pub steps_skipped: u64,
 }
 

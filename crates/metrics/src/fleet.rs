@@ -127,7 +127,7 @@ pub struct FleetPoint {
     /// the robustness machinery. `None` keeps the JSON of plain sweeps
     /// byte-identical to pre-robustness output.
     pub robustness: Option<RobustnessStats>,
-    /// Host `step_to` calls the cluster's sparse lockstep loop skipped
+    /// Host `try_run_until` calls the cluster's sparse lockstep loop skipped
     /// because the host's event-time hint lay past the epoch horizon.
     /// Serialized only when non-zero, so points built without the
     /// counter keep their prior byte format.

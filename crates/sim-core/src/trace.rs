@@ -7,10 +7,7 @@
 //!
 //! The hot path is allocation-free: recorded events are typed
 //! ([`TraceEvent`]) or static labels, stored as fixed-size values and
-//! rendered lazily only when the ring is dumped. Formatting a `String`
-//! per event — the old scheme — is still possible through
-//! [`TraceMessage::Owned`] for tests and ad-hoc tooling, but no
-//! steady-state simulation path uses it.
+//! rendered lazily only when the ring is dumped.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -68,17 +65,14 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// What one trace entry records: a typed event (allocation-free), a
-/// static label (allocation-free), or an owned string (allocates; kept
-/// for tests and ad-hoc tooling only).
+/// What one trace entry records: a typed event or a static label, both
+/// allocation-free.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceMessage {
     /// A typed machine event, rendered lazily.
     Event(TraceEvent),
     /// A static label.
     Static(&'static str),
-    /// An owned string (not used by any hot path).
-    Owned(String),
 }
 
 impl fmt::Display for TraceMessage {
@@ -86,7 +80,6 @@ impl fmt::Display for TraceMessage {
         match self {
             TraceMessage::Event(e) => e.fmt(f),
             TraceMessage::Static(s) => f.write_str(s),
-            TraceMessage::Owned(s) => f.write_str(s),
         }
     }
 }
@@ -100,12 +93,6 @@ impl From<TraceEvent> for TraceMessage {
 impl From<&'static str> for TraceMessage {
     fn from(s: &'static str) -> Self {
         TraceMessage::Static(s)
-    }
-}
-
-impl From<String> for TraceMessage {
-    fn from(s: String) -> Self {
-        TraceMessage::Owned(s)
     }
 }
 
@@ -237,8 +224,8 @@ mod tests {
     #[test]
     fn ring_evicts_oldest() {
         let mut r = TraceRing::new(3);
-        for i in 0..5u64 {
-            r.push(SimTime::from_ms(i), "t", format!("e{i}"));
+        for (i, label) in ["e0", "e1", "e2", "e3", "e4"].into_iter().enumerate() {
+            r.push(SimTime::from_ms(i as u64), "t", label);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.total_pushed(), 5);

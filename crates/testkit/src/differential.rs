@@ -44,6 +44,7 @@
 //! but it must never break structural sanity or work conservation.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
+use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::time::{SimDuration, SimTime};
 use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
 use xen_sched::HypervisorSched;
@@ -541,6 +542,12 @@ impl HypervisorSched for BrokenFreezeScheduler {
     }
     fn extend_version(&self) -> u64 {
         self.0.extend_version()
+    }
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w)
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) {
+        self.0.load(r)
     }
 }
 

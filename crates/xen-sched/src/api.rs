@@ -5,7 +5,7 @@
 //! the per-VM channel, the guest-side balancer — is credit-specific. This
 //! trait extracts the exact surface the embedding machine
 //! (`vscale::machine::Machine`), the vScale channel, and the differential
-//! test harness consume from [`CreditScheduler`], so alternative policies
+//! test harness consume from [`CreditScheduler`](crate::credit::CreditScheduler), so alternative policies
 //! can slot in behind the same event-driven contract:
 //!
 //! - [`crate::credit::CreditScheduler`] — the paper's baseline: Xen's
@@ -52,7 +52,7 @@ use sim_core::time::{SimDuration, SimTime};
 
 use sim_core::snap::{SnapReader, SnapWriter};
 
-use crate::credit::{CreditConfig, CreditScheduler, SchedEvent, VcpuState};
+use crate::credit::{CreditConfig, SchedEvent, VcpuState};
 use crate::extend::ExtendInfo;
 
 /// Per-vCPU scheduler state that travels with a live migration.
@@ -212,19 +212,12 @@ pub trait HypervisorSched {
     /// Serializes the backend's complete mutable state through the
     /// checkpoint codec, exactly — restoring into a structurally
     /// identical pool and resuming must be indistinguishable from never
-    /// having stopped, down to runqueue FIFO order. Backends that cannot
-    /// make that promise keep the panicking default.
-    fn save(&self, w: &mut SnapWriter) {
-        let _ = w;
-        unimplemented!("this scheduler backend does not support checkpoint/restore");
-    }
+    /// having stopped, down to runqueue FIFO order.
+    fn save(&self, w: &mut SnapWriter);
 
     /// Restores state written by [`HypervisorSched::save`] into a pool
     /// built from the same configuration and populations (asserted).
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        let _ = r;
-        unimplemented!("this scheduler backend does not support checkpoint/restore");
-    }
+    fn load(&mut self, r: &mut SnapReader<'_>);
 
     /// Extracts the migration payload for `dom`. The default is built
     /// from the public surface and carries no credit; credit-bearing
@@ -288,163 +281,5 @@ pub trait HypervisorSched {
         for v in 0..self.n_vcpus(dom) {
             self.vcpu_wake(GlobalVcpu::new(dom, VcpuId(v)), now, events);
         }
-    }
-}
-
-impl HypervisorSched for CreditScheduler {
-    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
-        CreditScheduler::new(config, n_pcpus)
-    }
-
-    fn backend_name() -> &'static str {
-        "credit"
-    }
-
-    fn save(&self, w: &mut SnapWriter) {
-        self.save_state(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) {
-        self.load_state(r);
-    }
-
-    fn export_domain(&self, dom: DomId) -> DomSchedExport {
-        self.export_domain_state(dom)
-    }
-
-    fn import_domain(
-        &mut self,
-        dom: DomId,
-        export: &DomSchedExport,
-        now: SimTime,
-        events: &mut Vec<SchedEvent>,
-    ) {
-        self.import_domain_state(dom, export, now, events);
-    }
-
-    fn n_pcpus(&self) -> usize {
-        CreditScheduler::n_pcpus(self)
-    }
-
-    fn n_domains(&self) -> usize {
-        CreditScheduler::n_domains(self)
-    }
-
-    fn create_domain(
-        &mut self,
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> DomId {
-        CreditScheduler::create_domain(self, weight, n_vcpus, cap_pcpus, reservation_pcpus)
-    }
-
-    fn n_vcpus(&self, dom: DomId) -> usize {
-        CreditScheduler::n_vcpus(self, dom)
-    }
-
-    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::on_tick(self, pcpu, now, events)
-    }
-
-    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::on_acct(self, now, events)
-    }
-
-    fn on_extend_tick(&mut self, now: SimTime) {
-        CreditScheduler::on_extend_tick(self, now)
-    }
-
-    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::slice_expired(self, pcpu, now, events)
-    }
-
-    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_wake(self, gv, now, events)
-    }
-
-    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_block(self, gv, now, events)
-    }
-
-    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::vcpu_yield(self, gv, now, events)
-    }
-
-    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::kick_vcpu(self, gv, now, events)
-    }
-
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
-        CreditScheduler::set_frozen(self, gv, frozen)
-    }
-
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        CreditScheduler::is_frozen(self, gv)
-    }
-
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        CreditScheduler::running_on(self, pcpu)
-    }
-
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        CreditScheduler::where_running(self, gv)
-    }
-
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        CreditScheduler::vcpu_state(self, gv)
-    }
-
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        CreditScheduler::pcpu_gen(self, pcpu)
-    }
-
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        CreditScheduler::domain_wait_total(self, dom)
-    }
-
-    fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        CreditScheduler::domain_run_total(self, dom)
-    }
-
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        CreditScheduler::vcpu_wait_total(self, gv)
-    }
-
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        CreditScheduler::vcpu_run_total(self, gv)
-    }
-
-    fn total_run_ns(&self) -> u64 {
-        CreditScheduler::total_run_ns(self)
-    }
-
-    fn migrations(&self) -> u64 {
-        CreditScheduler::migrations(self)
-    }
-
-    fn switches(&self, pcpu: PcpuId) -> u64 {
-        CreditScheduler::switches(self, pcpu)
-    }
-
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
-        CreditScheduler::scheduled_count(self, gv)
-    }
-
-    fn extendability(&self, dom: DomId) -> ExtendInfo {
-        CreditScheduler::extendability(self, dom)
-    }
-
-    fn extend_version(&self) -> u64 {
-        CreditScheduler::extend_version(self)
-    }
-
-    fn kicks_throttled(&self, dom: DomId) -> u64 {
-        CreditScheduler::kicks_throttled(self, dom)
-    }
-
-    fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        CreditScheduler::wake_domain(self, dom, now, events)
     }
 }

@@ -33,9 +33,11 @@
 use std::collections::VecDeque;
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
+use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::soa::VcpuMap;
 use sim_core::time::{SimDuration, SimTime};
 
+use crate::api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
 use crate::extend::{ExtendInfo, ExtendParams};
 
 /// Scheduling priority of a runnable vCPU, ordered from most to least urgent.
@@ -310,57 +312,6 @@ impl CreditScheduler {
         &self.config
     }
 
-    /// Number of pCPUs in the pool.
-    pub fn n_pcpus(&self) -> usize {
-        self.pcpus.len()
-    }
-
-    /// Number of domains created so far.
-    pub fn n_domains(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Creates a domain with `n_vcpus` vCPUs and proportional-share `weight`.
-    ///
-    /// All vCPUs start [`VcpuState::Blocked`]; the machine wakes them as the
-    /// guest boots them. `cap_pcpus` / `reservation_pcpus` bound the
-    /// domain's extendability (in units of whole pCPUs).
-    pub fn create_domain(
-        &mut self,
-        weight: u32,
-        n_vcpus: usize,
-        cap_pcpus: Option<f64>,
-        reservation_pcpus: Option<f64>,
-    ) -> DomId {
-        assert!(weight > 0, "domain weight must be positive");
-        assert!(n_vcpus > 0, "a domain needs at least one vCPU");
-        let id = DomId(self.domains.len());
-        let n_pcpus = self.pcpus.len();
-        let hot_id = self.hot.push_domain(n_vcpus, |v| Vcpu {
-            state: VcpuState::Blocked {
-                since: SimTime::ZERO,
-            },
-            prio: Prio::Under,
-            credits_ns: 0,
-            last_pcpu: PcpuId(v.index() % n_pcpus),
-            frozen: false,
-            parked: false,
-            burn_from: SimTime::ZERO,
-        });
-        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
-        debug_assert_eq!((hot_id, stats_id), (id, id));
-        self.domains.push(Domain {
-            weight,
-            cap_pcpus,
-            reservation_pcpus,
-            consumed_acct: SimDuration::ZERO,
-            consumed_extend: SimDuration::ZERO,
-            extend: ExtendInfo::initial(n_vcpus),
-            kicks_throttled: 0,
-        });
-        id
-    }
-
     #[inline]
     fn vcpu(&self, gv: GlobalVcpu) -> &Vcpu {
         &self.hot[gv]
@@ -376,84 +327,9 @@ impl CreditScheduler {
         self.hot.domain(dom).iter().filter(|v| !v.frozen).count()
     }
 
-    /// The vCPU currently running on `pcpu`, if any.
-    pub fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        self.pcpus[pcpu.index()].current
-    }
-
-    /// The pCPU `gv` currently runs on, if it is running.
-    pub fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        match self.vcpu(gv).state {
-            VcpuState::Running { pcpu, .. } => Some(pcpu),
-            _ => None,
-        }
-    }
-
-    /// The state of a vCPU.
-    pub fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        self.vcpu(gv).state
-    }
-
     /// The current priority of a vCPU.
     pub fn vcpu_prio(&self, gv: GlobalVcpu) -> Prio {
         self.vcpu(gv).prio
-    }
-
-    /// Whether the guest has frozen this vCPU.
-    pub fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        self.vcpu(gv).frozen
-    }
-
-    /// Total time `gv` has spent waiting runnable in run queues.
-    pub fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.stats[gv].wait_total
-    }
-
-    /// Total time `gv` has spent running on pCPUs.
-    pub fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.stats[gv].run_total
-    }
-
-    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
-    pub fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        self.stats
-            .domain(dom)
-            .iter()
-            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
-    }
-
-    /// Sum of run time across all vCPUs of `dom`.
-    pub fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        self.stats
-            .domain(dom)
-            .iter()
-            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
-    }
-
-    /// Number of vCPUs of `dom`.
-    pub fn n_vcpus(&self, dom: DomId) -> usize {
-        self.hot.n_vcpus(dom)
-    }
-
-    /// Machine-wide run time aggregate in nanoseconds (O(1) read; see
-    /// the `total_run_ns` field).
-    pub fn total_run_ns(&self) -> u64 {
-        self.total_run_ns
-    }
-
-    /// Number of vCPU cross-pCPU migrations (steals) performed.
-    pub fn migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Context switches performed on `pcpu`.
-    pub fn switches(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].switches
-    }
-
-    /// The assignment generation of `pcpu` (bumps on every change).
-    pub fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        self.pcpus[pcpu.index()].gen
     }
 
     /// When the vCPU currently on `pcpu` was placed there.
@@ -493,50 +369,6 @@ impl CreditScheduler {
         self.total_run_ns += ran.as_ns();
     }
 
-    /// Per-pCPU tick (every [`CreditConfig::tick`]): burn credits, demote
-    /// BOOST, and preempt if a higher-priority vCPU is waiting. Resulting
-    /// assignment changes are appended to `events`.
-    pub fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        self.burn(pcpu, now);
-        let tick_ns = self.config.tick.as_ns() as i64;
-        let sampled = self.config.sampled_burn;
-        if let Some(gv) = self.pcpus[pcpu.index()].current {
-            if sampled {
-                // Historical Xen: whoever is caught on the pCPU at the
-                // tick pays for the whole tick, whether it ran 10 ms or
-                // 10 µs of it. A tenant absent at every sample runs free.
-                let v = self.vcpu_mut(gv);
-                v.credits_ns -= tick_ns;
-                if v.credits_ns < 0 && v.prio == Prio::Under {
-                    v.prio = Prio::Over;
-                }
-            }
-            // Xen demotes a boosted vCPU back to its credit-derived priority
-            // at the first tick it survives on a pCPU.
-            let v = self.vcpu_mut(gv);
-            if v.prio == Prio::Boost {
-                v.prio = if v.credits_ns >= 0 {
-                    Prio::Under
-                } else {
-                    Prio::Over
-                };
-            }
-            // Optional (non-Xen) tick preemption: let queued
-            // higher-priority work through at tick granularity.
-            if self.config.tick_preemption {
-                let cur_prio = self.vcpu(gv).prio;
-                if self.best_waiting_prio(pcpu) < cur_prio as usize {
-                    self.deschedule_current(pcpu, now, /* requeue= */ true, events);
-                    self.reschedule(pcpu, now, events);
-                }
-            }
-        } else {
-            // Idle pCPU: a tick is a natural point to look for work that
-            // appeared without a wakeup kick reaching us.
-            self.reschedule(pcpu, now, events);
-        }
-    }
-
     fn best_waiting_prio(&self, pcpu: PcpuId) -> usize {
         for (i, q) in self.pcpus[pcpu.index()].queues.iter().enumerate() {
             if !q.is_empty() {
@@ -544,98 +376,6 @@ impl CreditScheduler {
             }
         }
         PRIO_COUNT
-    }
-
-    /// The 30 ms accounting pass (`csched_acct`): distributes one period's
-    /// machine capacity to active domains by weight, splits each domain's
-    /// share across its active (non-frozen) vCPUs, clips balances, and
-    /// enforces per-domain caps — a capped domain that over-consumed its
-    /// budget has its vCPUs *parked* (Xen's `CSCHED_FLAG_VCPU_PARKED`)
-    /// until the next pass; caps are the one deliberately
-    /// non-work-conserving knob. Assignment changes go to `events`.
-    pub fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
-        // Burn everyone up to `now` first so consumption is current.
-        for p in 0..self.pcpus.len() {
-            self.burn(PcpuId(p), now);
-        }
-        let period = self.config.tick * u64::from(self.config.ticks_per_acct);
-        let total_ns = (period * self.pcpus.len() as u64).as_ns() as i64;
-        let cap_ns = period.as_ns() as i64; // At most one full period banked.
-        let floor_ns = -cap_ns; // At most one full period over-drawn.
-
-        // Cap enforcement decisions, applied after the credit loop so the
-        // domain iteration below stays simple. The decision lists are
-        // scheduler-owned scratch (empty outside this call).
-        let mut to_park = std::mem::take(&mut self.park_buf);
-        let mut to_unpark = std::mem::take(&mut self.unpark_buf);
-        debug_assert!(to_park.is_empty() && to_unpark.is_empty());
-        for (di, d) in self.domains.iter().enumerate() {
-            let Some(cap) = d.cap_pcpus else { continue };
-            let budget = SimDuration::from_ns((period.as_ns() as f64 * cap) as u64);
-            let over = d.consumed_acct > budget;
-            for (vi, v) in self.hot.domain(DomId(di)).iter().enumerate() {
-                let gv = GlobalVcpu::new(DomId(di), VcpuId(vi));
-                if over && !v.parked {
-                    to_park.push(gv);
-                } else if !over && v.parked {
-                    to_unpark.push(gv);
-                }
-            }
-        }
-
-        // A domain is active if it consumed anything this window or has
-        // runnable/running vCPUs right now.
-        let mut active = std::mem::take(&mut self.active_buf);
-        active.clear();
-        active.extend(self.domains.iter().enumerate().map(|(di, d)| {
-            !d.consumed_acct.is_zero()
-                || self
-                    .hot
-                    .domain(DomId(di))
-                    .iter()
-                    .any(|v| !matches!(v.state, VcpuState::Blocked { .. }))
-        }));
-        let weight_sum: u64 = self
-            .domains
-            .iter()
-            .zip(&active)
-            .filter(|&(_, a)| *a)
-            .map(|(d, _)| u64::from(d.weight))
-            .sum();
-
-        for (di, dom_active) in active.iter().enumerate() {
-            self.domains[di].consumed_acct = SimDuration::ZERO;
-            if !dom_active || weight_sum == 0 {
-                continue;
-            }
-            let dom_share = total_ns * i64::from(self.domains[di].weight) / weight_sum as i64;
-            let n_active = self.active_vcpu_count(DomId(di)).max(1) as i64;
-            let per_vcpu = dom_share / n_active;
-            for v in self.hot.domain_mut(DomId(di)) {
-                if v.frozen {
-                    // vScale §4.2: frozen vCPUs are off the active list and
-                    // earn nothing; their share went to the siblings above.
-                    continue;
-                }
-                v.credits_ns = (v.credits_ns + per_vcpu).clamp(floor_ns, cap_ns);
-                if v.prio != Prio::Boost {
-                    v.prio = if v.credits_ns >= 0 {
-                        Prio::Under
-                    } else {
-                        Prio::Over
-                    };
-                }
-            }
-        }
-        for gv in to_park.drain(..) {
-            self.park(gv, now, events);
-        }
-        for gv in to_unpark.drain(..) {
-            self.unpark(gv, now, events);
-        }
-        self.park_buf = to_park;
-        self.unpark_buf = to_unpark;
-        self.active_buf = active;
     }
 
     /// Parks a vCPU (cap exceeded): it leaves its pCPU/queue and will not
@@ -666,66 +406,6 @@ impl CreditScheduler {
     /// Whether `gv` is parked by cap enforcement.
     pub fn is_parked(&self, gv: GlobalVcpu) -> bool {
         self.vcpu(gv).parked
-    }
-
-    // ------------------------------------------------------------------
-    // vScale extendability ticker (Algorithm 1 driver).
-    // ------------------------------------------------------------------
-
-    /// The vScale ticker (`vscale_ticker_fn`): recomputes every SMP
-    /// domain's CPU extendability from consumption over the window since
-    /// the previous call. Runs on the pool master every
-    /// [`CreditConfig::extend_period`].
-    pub fn on_extend_tick(&mut self, now: SimTime) {
-        for p in 0..self.pcpus.len() {
-            self.burn(PcpuId(p), now);
-        }
-        let window = now.since(self.extend_window_start);
-        self.extend_window_start = now;
-        if window.is_zero() {
-            return;
-        }
-        let mut params = std::mem::take(&mut self.params_buf);
-        let mut infos = std::mem::take(&mut self.infos_buf);
-        params.clear();
-        params.extend(self.domains.iter().enumerate().map(|(di, d)| ExtendParams {
-            weight: d.weight,
-            consumed: d.consumed_extend,
-            cap_pcpus: d.cap_pcpus,
-            reservation_pcpus: d.reservation_pcpus,
-            n_vcpus: self.hot.n_vcpus(DomId(di)),
-        }));
-        crate::extend::compute_extendability_into(
-            &params,
-            self.pcpus.len(),
-            window,
-            now,
-            &mut infos,
-        );
-        self.params_buf = params;
-        for (d, info) in self.domains.iter_mut().zip(&infos) {
-            d.consumed_extend = SimDuration::ZERO;
-            d.extend = *info;
-        }
-        self.infos_buf = infos;
-        // Seqlock-style publication counter: readers compare the version
-        // they consumed against this to detect stale serves, and a torn
-        // serve (fields mixed across versions) fails snapshot validation.
-        self.extend_version += 1;
-    }
-
-    /// Reads a domain's latest extendability (the `SCHEDOP_getvscaleinfo`
-    /// hypercall payload).
-    pub fn extendability(&self, dom: DomId) -> ExtendInfo {
-        self.domains[dom.index()].extend
-    }
-
-    /// The publication version of the current extendability snapshots:
-    /// bumped once per [`CreditScheduler::on_extend_tick`] that republishes.
-    /// A reader holding snapshot version `v` knows a serve is stale when
-    /// `v < extend_version()` yet the serve repeats version `v`'s fields.
-    pub fn extend_version(&self) -> u64 {
-        self.extend_version
     }
 
     // ------------------------------------------------------------------
@@ -835,24 +515,6 @@ impl CreditScheduler {
         Some(gv)
     }
 
-    /// A vCPU blocks voluntarily (guest idle / HLT / `SCHEDOP_poll`).
-    /// Assignment changes are appended to `events`.
-    pub fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        match self.vcpu(gv).state {
-            VcpuState::Running { pcpu, .. } => {
-                self.deschedule_current(pcpu, now, false, events);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-                self.reschedule(pcpu, now, events);
-            }
-            VcpuState::Runnable { .. } => {
-                // Raced: it was preempted and now blocks from the queue.
-                self.remove_from_queue(gv, now);
-                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
-            }
-            VcpuState::Blocked { .. } => {}
-        }
-    }
-
     fn remove_from_queue(&mut self, gv: GlobalVcpu, now: SimTime) {
         if let VcpuState::Runnable { pcpu, since } = self.vcpu(gv).state {
             for queue in self.pcpus[pcpu.index()].queues.iter_mut() {
@@ -864,29 +526,6 @@ impl CreditScheduler {
             let waited = now.since(since);
             self.stats[gv].wait_total += waited;
         }
-    }
-
-    /// Wakes a blocked vCPU (pending interrupt or event-channel kick).
-    ///
-    /// An UNDER vCPU is promoted to BOOST (if enabled) so it reaches a pCPU
-    /// quickly; it may preempt the current occupant of its home pCPU if that
-    /// occupant has run at least the ratelimit and has lower priority.
-    pub fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
-        if !matches!(self.vcpu(gv).state, VcpuState::Blocked { .. }) {
-            return;
-        }
-        if self.vcpu(gv).parked {
-            // Cap-parked: stays off pCPUs until the next accounting pass.
-            return;
-        }
-        if self.config.boost && self.vcpu(gv).credits_ns >= 0 {
-            self.vcpu_mut(gv).prio = Prio::Boost;
-        }
-        // Prefer an idle pCPU anywhere in the pool; fall back to home.
-        let home = self.vcpu(gv).last_pcpu;
-        let target = self.idle_pcpu().unwrap_or(home);
-        self.enqueue(gv, target, now);
-        self.maybe_preempt(target, now, events, gv);
     }
 
     fn idle_pcpu(&self) -> Option<PcpuId> {
@@ -933,9 +572,544 @@ impl CreditScheduler {
         }
     }
 
+    /// Signed credit balance of `gv`, in nanoseconds (test/inspection hook).
+    pub fn credits_ns(&self, gv: GlobalVcpu) -> i64 {
+        self.vcpu(gv).credits_ns
+    }
+}
+
+impl HypervisorSched for CreditScheduler {
+    fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
+        CreditScheduler::new(config, n_pcpus)
+    }
+
+    fn backend_name() -> &'static str {
+        "credit"
+    }
+
+    /// Serializes all mutable scheduler state. The configuration and
+    /// the pCPU/domain/vCPU populations are structural: restore
+    /// targets a pool built the same way and asserts they match.
+    fn save(&self, w: &mut SnapWriter) {
+        let CreditScheduler {
+            config: _,
+            pcpus,
+            domains,
+            hot,
+            stats,
+            extend_window_start,
+            extend_version,
+            migrations,
+            total_run_ns,
+            park_buf: _,
+            unpark_buf: _,
+            active_buf: _,
+            params_buf: _,
+            infos_buf: _,
+        } = self;
+        w.section("credit");
+        w.seq(pcpus.iter(), |w, p| {
+            for q in &p.queues {
+                w.seq(q.iter(), |w, gv| save_gv(w, *gv));
+            }
+            w.opt(p.current.as_ref(), |w, gv| save_gv(w, *gv));
+            w.time(p.run_since);
+            w.u64(p.gen);
+            w.u64(p.switches);
+        });
+        w.seq(domains.iter(), |w, d| {
+            w.u32(d.weight);
+            w.opt(d.cap_pcpus.as_ref(), |w, v| w.f64(*v));
+            w.opt(d.reservation_pcpus.as_ref(), |w, v| w.f64(*v));
+            w.dur(d.consumed_acct);
+            w.dur(d.consumed_extend);
+            d.extend.save(w);
+            w.u64(d.kicks_throttled);
+        });
+        w.seq(hot.values().iter(), |w, v| {
+            save_vcpu_state(w, v.state);
+            w.u8(v.prio as u8);
+            w.i64(v.credits_ns);
+            w.usize(v.last_pcpu.index());
+            w.bool(v.frozen);
+            w.bool(v.parked);
+            w.time(v.burn_from);
+        });
+        w.seq(stats.values().iter(), |w, s| {
+            w.dur(s.wait_total);
+            w.dur(s.run_total);
+            w.u64(s.scheduled_count);
+        });
+        w.time(*extend_window_start);
+        w.u64(*extend_version);
+        w.u64(*migrations);
+        w.u64(*total_run_ns);
+    }
+
+    /// Restores state saved by [`HypervisorSched::save`] into a
+    /// structurally identical pool.
+    fn load(&mut self, r: &mut SnapReader<'_>) {
+        r.section("credit");
+        let pcpus = r.seq(|r| Pcpu {
+            queues: [load_queue(r), load_queue(r), load_queue(r)],
+            current: r.opt(load_gv),
+            run_since: r.time(),
+            gen: r.u64(),
+            switches: r.u64(),
+        });
+        assert_eq!(pcpus.len(), self.pcpus.len(), "pCPU count drifted");
+        self.pcpus = pcpus;
+        let domains = r.seq(|r| Domain {
+            weight: r.u32(),
+            cap_pcpus: r.opt(|r| r.f64()),
+            reservation_pcpus: r.opt(|r| r.f64()),
+            consumed_acct: r.dur(),
+            consumed_extend: r.dur(),
+            extend: ExtendInfo::load(r),
+            kicks_throttled: r.u64(),
+        });
+        assert_eq!(domains.len(), self.domains.len(), "domain count drifted");
+        self.domains = domains;
+        let hot = r.seq(|r| Vcpu {
+            state: load_vcpu_state(r),
+            prio: load_prio(r),
+            credits_ns: r.i64(),
+            last_pcpu: PcpuId(r.usize()),
+            frozen: r.bool(),
+            parked: r.bool(),
+            burn_from: r.time(),
+        });
+        assert_eq!(hot.len(), self.hot.len(), "vCPU count drifted");
+        for (dst, src) in self.hot.values_mut().iter_mut().zip(hot) {
+            *dst = src;
+        }
+        let stats = r.seq(|r| VcpuStats {
+            wait_total: r.dur(),
+            run_total: r.dur(),
+            scheduled_count: r.u64(),
+        });
+        assert_eq!(stats.len(), self.stats.len(), "vCPU count drifted");
+        for (dst, src) in self.stats.values_mut().iter_mut().zip(stats) {
+            *dst = src;
+        }
+        self.extend_window_start = r.time();
+        self.extend_version = r.u64();
+        self.migrations = r.u64();
+        self.total_run_ns = r.u64();
+    }
+
+    /// Extracts the migration payload for `dom`, carrying the credit
+    /// balance alongside the generic flags.
+    fn export_domain(&self, dom: DomId) -> DomSchedExport {
+        DomSchedExport {
+            vcpus: self
+                .hot
+                .domain(dom)
+                .iter()
+                .map(|v| VcpuSchedExport {
+                    frozen: v.frozen,
+                    runnable: !matches!(v.state, VcpuState::Blocked { .. }),
+                    credit: v.credits_ns,
+                })
+                .collect(),
+        }
+    }
+
+    /// Installs a migration payload into `dom` (a freshly created,
+    /// fully blocked twin), restoring credit balances and waking the
+    /// vCPUs that had runnable work at export.
+    fn import_domain(
+        &mut self,
+        dom: DomId,
+        x: &DomSchedExport,
+        now: SimTime,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        assert_eq!(
+            x.vcpus.len(),
+            self.hot.n_vcpus(dom),
+            "vCPU count mismatch on import"
+        );
+        for (i, vx) in x.vcpus.iter().enumerate() {
+            let gv = GlobalVcpu::new(dom, VcpuId(i));
+            {
+                let v = &mut self.hot[gv];
+                v.credits_ns = vx.credit;
+                v.prio = if vx.credit > 0 {
+                    Prio::Under
+                } else {
+                    Prio::Over
+                };
+            }
+            if vx.runnable && matches!(self.hot[gv].state, VcpuState::Blocked { .. }) {
+                self.vcpu_wake(gv, now, events);
+            }
+            self.hot[gv].frozen = vx.frozen;
+        }
+    }
+
+    /// Number of pCPUs in the pool.
+    fn n_pcpus(&self) -> usize {
+        self.pcpus.len()
+    }
+
+    /// Number of domains created so far.
+    fn n_domains(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// Creates a domain with `n_vcpus` vCPUs and proportional-share `weight`.
+    ///
+    /// All vCPUs start [`VcpuState::Blocked`]; the machine wakes them as the
+    /// guest boots them. `cap_pcpus` / `reservation_pcpus` bound the
+    /// domain's extendability (in units of whole pCPUs).
+    fn create_domain(
+        &mut self,
+        weight: u32,
+        n_vcpus: usize,
+        cap_pcpus: Option<f64>,
+        reservation_pcpus: Option<f64>,
+    ) -> DomId {
+        assert!(weight > 0, "domain weight must be positive");
+        assert!(n_vcpus > 0, "a domain needs at least one vCPU");
+        let id = DomId(self.domains.len());
+        let n_pcpus = self.pcpus.len();
+        let hot_id = self.hot.push_domain(n_vcpus, |v| Vcpu {
+            state: VcpuState::Blocked {
+                since: SimTime::ZERO,
+            },
+            prio: Prio::Under,
+            credits_ns: 0,
+            last_pcpu: PcpuId(v.index() % n_pcpus),
+            frozen: false,
+            parked: false,
+            burn_from: SimTime::ZERO,
+        });
+        let stats_id = self.stats.push_domain(n_vcpus, |_| VcpuStats::default());
+        debug_assert_eq!((hot_id, stats_id), (id, id));
+        self.domains.push(Domain {
+            weight,
+            cap_pcpus,
+            reservation_pcpus,
+            consumed_acct: SimDuration::ZERO,
+            consumed_extend: SimDuration::ZERO,
+            extend: ExtendInfo::initial(n_vcpus),
+            kicks_throttled: 0,
+        });
+        id
+    }
+
+    /// The vCPU currently running on `pcpu`, if any.
+    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
+        self.pcpus[pcpu.index()].current
+    }
+
+    /// The pCPU `gv` currently runs on, if it is running.
+    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
+        match self.vcpu(gv).state {
+            VcpuState::Running { pcpu, .. } => Some(pcpu),
+            _ => None,
+        }
+    }
+
+    /// The state of a vCPU.
+    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
+        self.vcpu(gv).state
+    }
+
+    /// Whether the guest has frozen this vCPU.
+    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
+        self.vcpu(gv).frozen
+    }
+
+    /// Total time `gv` has spent waiting runnable in run queues.
+    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.stats[gv].wait_total
+    }
+
+    /// Total time `gv` has spent running on pCPUs.
+    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.stats[gv].run_total
+    }
+
+    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
+    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
+        self.stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
+    }
+
+    /// Sum of run time across all vCPUs of `dom`.
+    fn domain_run_total(&self, dom: DomId) -> SimDuration {
+        self.stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
+    }
+
+    /// Number of vCPUs of `dom`.
+    fn n_vcpus(&self, dom: DomId) -> usize {
+        self.hot.n_vcpus(dom)
+    }
+
+    /// Machine-wide run time aggregate in nanoseconds (O(1) read; see
+    /// the `total_run_ns` field).
+    fn total_run_ns(&self) -> u64 {
+        self.total_run_ns
+    }
+
+    /// Number of vCPU cross-pCPU migrations (steals) performed.
+    fn migrations(&self) -> u64 {
+        self.migrations
+    }
+
+    /// Context switches performed on `pcpu`.
+    fn switches(&self, pcpu: PcpuId) -> u64 {
+        self.pcpus[pcpu.index()].switches
+    }
+
+    /// The assignment generation of `pcpu` (bumps on every change).
+    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
+        self.pcpus[pcpu.index()].gen
+    }
+
+    /// Per-pCPU tick (every [`CreditConfig::tick`]): burn credits, demote
+    /// BOOST, and preempt if a higher-priority vCPU is waiting. Resulting
+    /// assignment changes are appended to `events`.
+    fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+        self.burn(pcpu, now);
+        let tick_ns = self.config.tick.as_ns() as i64;
+        let sampled = self.config.sampled_burn;
+        if let Some(gv) = self.pcpus[pcpu.index()].current {
+            if sampled {
+                // Historical Xen: whoever is caught on the pCPU at the
+                // tick pays for the whole tick, whether it ran 10 ms or
+                // 10 µs of it. A tenant absent at every sample runs free.
+                let v = self.vcpu_mut(gv);
+                v.credits_ns -= tick_ns;
+                if v.credits_ns < 0 && v.prio == Prio::Under {
+                    v.prio = Prio::Over;
+                }
+            }
+            // Xen demotes a boosted vCPU back to its credit-derived priority
+            // at the first tick it survives on a pCPU.
+            let v = self.vcpu_mut(gv);
+            if v.prio == Prio::Boost {
+                v.prio = if v.credits_ns >= 0 {
+                    Prio::Under
+                } else {
+                    Prio::Over
+                };
+            }
+            // Optional (non-Xen) tick preemption: let queued
+            // higher-priority work through at tick granularity.
+            if self.config.tick_preemption {
+                let cur_prio = self.vcpu(gv).prio;
+                if self.best_waiting_prio(pcpu) < cur_prio as usize {
+                    self.deschedule_current(pcpu, now, /* requeue= */ true, events);
+                    self.reschedule(pcpu, now, events);
+                }
+            }
+        } else {
+            // Idle pCPU: a tick is a natural point to look for work that
+            // appeared without a wakeup kick reaching us.
+            self.reschedule(pcpu, now, events);
+        }
+    }
+
+    /// The 30 ms accounting pass (`csched_acct`): distributes one period's
+    /// machine capacity to active domains by weight, splits each domain's
+    /// share across its active (non-frozen) vCPUs, clips balances, and
+    /// enforces per-domain caps — a capped domain that over-consumed its
+    /// budget has its vCPUs *parked* (Xen's `CSCHED_FLAG_VCPU_PARKED`)
+    /// until the next pass; caps are the one deliberately
+    /// non-work-conserving knob. Assignment changes go to `events`.
+    fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>) {
+        // Burn everyone up to `now` first so consumption is current.
+        for p in 0..self.pcpus.len() {
+            self.burn(PcpuId(p), now);
+        }
+        let period = self.config.tick * u64::from(self.config.ticks_per_acct);
+        let total_ns = (period * self.pcpus.len() as u64).as_ns() as i64;
+        let cap_ns = period.as_ns() as i64; // At most one full period banked.
+        let floor_ns = -cap_ns; // At most one full period over-drawn.
+
+        // Cap enforcement decisions, applied after the credit loop so the
+        // domain iteration below stays simple. The decision lists are
+        // scheduler-owned scratch (empty outside this call).
+        let mut to_park = std::mem::take(&mut self.park_buf);
+        let mut to_unpark = std::mem::take(&mut self.unpark_buf);
+        debug_assert!(to_park.is_empty() && to_unpark.is_empty());
+        for (di, d) in self.domains.iter().enumerate() {
+            let Some(cap) = d.cap_pcpus else { continue };
+            let budget = SimDuration::from_ns((period.as_ns() as f64 * cap) as u64);
+            let over = d.consumed_acct > budget;
+            for (vi, v) in self.hot.domain(DomId(di)).iter().enumerate() {
+                let gv = GlobalVcpu::new(DomId(di), VcpuId(vi));
+                if over && !v.parked {
+                    to_park.push(gv);
+                } else if !over && v.parked {
+                    to_unpark.push(gv);
+                }
+            }
+        }
+
+        // A domain is active if it consumed anything this window or has
+        // runnable/running vCPUs right now.
+        let mut active = std::mem::take(&mut self.active_buf);
+        active.clear();
+        active.extend(self.domains.iter().enumerate().map(|(di, d)| {
+            !d.consumed_acct.is_zero()
+                || self
+                    .hot
+                    .domain(DomId(di))
+                    .iter()
+                    .any(|v| !matches!(v.state, VcpuState::Blocked { .. }))
+        }));
+        let weight_sum: u64 = self
+            .domains
+            .iter()
+            .zip(&active)
+            .filter(|&(_, a)| *a)
+            .map(|(d, _)| u64::from(d.weight))
+            .sum();
+
+        for (di, dom_active) in active.iter().enumerate() {
+            self.domains[di].consumed_acct = SimDuration::ZERO;
+            if !dom_active || weight_sum == 0 {
+                continue;
+            }
+            let dom_share = total_ns * i64::from(self.domains[di].weight) / weight_sum as i64;
+            let n_active = self.active_vcpu_count(DomId(di)).max(1) as i64;
+            let per_vcpu = dom_share / n_active;
+            for v in self.hot.domain_mut(DomId(di)) {
+                if v.frozen {
+                    // vScale §4.2: frozen vCPUs are off the active list and
+                    // earn nothing; their share went to the siblings above.
+                    continue;
+                }
+                v.credits_ns = (v.credits_ns + per_vcpu).clamp(floor_ns, cap_ns);
+                if v.prio != Prio::Boost {
+                    v.prio = if v.credits_ns >= 0 {
+                        Prio::Under
+                    } else {
+                        Prio::Over
+                    };
+                }
+            }
+        }
+        for gv in to_park.drain(..) {
+            self.park(gv, now, events);
+        }
+        for gv in to_unpark.drain(..) {
+            self.unpark(gv, now, events);
+        }
+        self.park_buf = to_park;
+        self.unpark_buf = to_unpark;
+        self.active_buf = active;
+    }
+
+    /// The vScale ticker (`vscale_ticker_fn`): recomputes every SMP
+    /// domain's CPU extendability from consumption over the window since
+    /// the previous call. Runs on the pool master every
+    /// [`CreditConfig::extend_period`].
+    fn on_extend_tick(&mut self, now: SimTime) {
+        for p in 0..self.pcpus.len() {
+            self.burn(PcpuId(p), now);
+        }
+        let window = now.since(self.extend_window_start);
+        self.extend_window_start = now;
+        if window.is_zero() {
+            return;
+        }
+        let mut params = std::mem::take(&mut self.params_buf);
+        let mut infos = std::mem::take(&mut self.infos_buf);
+        params.clear();
+        params.extend(self.domains.iter().enumerate().map(|(di, d)| ExtendParams {
+            weight: d.weight,
+            consumed: d.consumed_extend,
+            cap_pcpus: d.cap_pcpus,
+            reservation_pcpus: d.reservation_pcpus,
+            n_vcpus: self.hot.n_vcpus(DomId(di)),
+        }));
+        crate::extend::compute_extendability_into(
+            &params,
+            self.pcpus.len(),
+            window,
+            now,
+            &mut infos,
+        );
+        self.params_buf = params;
+        for (d, info) in self.domains.iter_mut().zip(&infos) {
+            d.consumed_extend = SimDuration::ZERO;
+            d.extend = *info;
+        }
+        self.infos_buf = infos;
+        // Seqlock-style publication counter: readers compare the version
+        // they consumed against this to detect stale serves, and a torn
+        // serve (fields mixed across versions) fails snapshot validation.
+        self.extend_version += 1;
+    }
+
+    /// Reads a domain's latest extendability (the `SCHEDOP_getvscaleinfo`
+    /// hypercall payload).
+    fn extendability(&self, dom: DomId) -> ExtendInfo {
+        self.domains[dom.index()].extend
+    }
+
+    /// The publication version of the current extendability snapshots:
+    /// bumped once per [`CreditScheduler::on_extend_tick`] that republishes.
+    /// A reader holding snapshot version `v` knows a serve is stale when
+    /// `v < extend_version()` yet the serve repeats version `v`'s fields.
+    fn extend_version(&self) -> u64 {
+        self.extend_version
+    }
+
+    /// A vCPU blocks voluntarily (guest idle / HLT / `SCHEDOP_poll`).
+    /// Assignment changes are appended to `events`.
+    fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+        match self.vcpu(gv).state {
+            VcpuState::Running { pcpu, .. } => {
+                self.deschedule_current(pcpu, now, false, events);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
+                self.reschedule(pcpu, now, events);
+            }
+            VcpuState::Runnable { .. } => {
+                // Raced: it was preempted and now blocks from the queue.
+                self.remove_from_queue(gv, now);
+                self.vcpu_mut(gv).state = VcpuState::Blocked { since: now };
+            }
+            VcpuState::Blocked { .. } => {}
+        }
+    }
+
+    /// Wakes a blocked vCPU (pending interrupt or event-channel kick).
+    ///
+    /// An UNDER vCPU is promoted to BOOST (if enabled) so it reaches a pCPU
+    /// quickly; it may preempt the current occupant of its home pCPU if that
+    /// occupant has run at least the ratelimit and has lower priority.
+    fn vcpu_wake(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+        if !matches!(self.vcpu(gv).state, VcpuState::Blocked { .. }) {
+            return;
+        }
+        if self.vcpu(gv).parked {
+            // Cap-parked: stays off pCPUs until the next accounting pass.
+            return;
+        }
+        if self.config.boost && self.vcpu(gv).credits_ns >= 0 {
+            self.vcpu_mut(gv).prio = Prio::Boost;
+        }
+        // Prefer an idle pCPU anywhere in the pool; fall back to home.
+        let home = self.vcpu(gv).last_pcpu;
+        let target = self.idle_pcpu().unwrap_or(home);
+        self.enqueue(gv, target, now);
+        self.maybe_preempt(target, now, events, gv);
+    }
+
     /// The running vCPU on `pcpu` yields (pv-spinlock `SCHEDOP_yield`):
     /// it goes to the back of its priority queue.
-    pub fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn vcpu_yield(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         if let VcpuState::Running { pcpu, .. } = self.vcpu(gv).state {
             self.deschedule_current(pcpu, now, true, events);
             self.reschedule(pcpu, now, events);
@@ -943,7 +1117,7 @@ impl CreditScheduler {
     }
 
     /// End of the 30 ms quantum on `pcpu`: round-robin to the next vCPU.
-    pub fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn slice_expired(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
         if self.pcpus[pcpu.index()].current.is_some() {
             self.deschedule_current(pcpu, now, true, events);
             self.reschedule(pcpu, now, events);
@@ -956,7 +1130,7 @@ impl CreditScheduler {
     /// until the guest finishes evacuating it and blocks (Algorithm 2's
     /// split design). Unfreezing re-adds it to the active list; the guest
     /// wakes it separately.
-    pub fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
+    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
         self.vcpu_mut(gv).frozen = frozen;
     }
 
@@ -964,7 +1138,7 @@ impl CreditScheduler {
     /// priority and preempts aggressively so Algorithm 2's target-side work
     /// happens promptly (§4.2: the hypervisor "tickles the reconfigured
     /// vCPU and prioritizes its scheduling").
-    pub fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
+    fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         match self.vcpu(gv).state {
             VcpuState::Blocked { .. } => {
                 self.vcpu_mut(gv).prio = Prio::Boost;
@@ -1000,29 +1174,81 @@ impl CreditScheduler {
         }
     }
 
-    /// Signed credit balance of `gv`, in nanoseconds (test/inspection hook).
-    pub fn credits_ns(&self, gv: GlobalVcpu) -> i64 {
-        self.vcpu(gv).credits_ns
-    }
-
     /// Kick-path evictions suppressed by the kick-throttle defense for
     /// kicks aimed at `dom`'s vCPUs.
-    pub fn kicks_throttled(&self, dom: DomId) -> u64 {
+    fn kicks_throttled(&self, dom: DomId) -> u64 {
         self.domains[dom.index()].kicks_throttled
     }
 
     /// How many times `gv` has been placed on a pCPU.
-    pub fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
+    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
         self.stats[gv].scheduled_count
     }
+}
 
-    /// Convenience: wake every vCPU of a domain (used at guest boot).
-    pub fn wake_domain(&mut self, dom: DomId, now: SimTime, events: &mut Vec<SchedEvent>) {
-        let n = self.hot.n_vcpus(dom);
-        for i in 0..n {
-            self.vcpu_wake(GlobalVcpu::new(dom, VcpuId(i)), now, events);
+// ---------------------------------------------------------------------------
+// Checkpoint codec helpers, shared with the other backends.
+// ---------------------------------------------------------------------------
+
+/// Serializes a [`GlobalVcpu`] (domain index + in-domain vCPU index).
+pub(crate) fn save_gv(w: &mut SnapWriter, gv: GlobalVcpu) {
+    w.usize(gv.dom.index());
+    w.usize(gv.vcpu.index());
+}
+
+/// Reads a [`GlobalVcpu`] written by [`save_gv`].
+pub(crate) fn load_gv(r: &mut SnapReader<'_>) -> GlobalVcpu {
+    let dom = DomId(r.usize());
+    GlobalVcpu::new(dom, VcpuId(r.usize()))
+}
+
+/// Serializes a [`VcpuState`] as a tag byte plus fields.
+pub(crate) fn save_vcpu_state(w: &mut SnapWriter, s: VcpuState) {
+    match s {
+        VcpuState::Running { pcpu, since } => {
+            w.u8(0);
+            w.usize(pcpu.index());
+            w.time(since);
+        }
+        VcpuState::Runnable { pcpu, since } => {
+            w.u8(1);
+            w.usize(pcpu.index());
+            w.time(since);
+        }
+        VcpuState::Blocked { since } => {
+            w.u8(2);
+            w.time(since);
         }
     }
+}
+
+/// Reads a [`VcpuState`] written by [`save_vcpu_state`].
+pub(crate) fn load_vcpu_state(r: &mut SnapReader<'_>) -> VcpuState {
+    match r.u8() {
+        0 => VcpuState::Running {
+            pcpu: PcpuId(r.usize()),
+            since: r.time(),
+        },
+        1 => VcpuState::Runnable {
+            pcpu: PcpuId(r.usize()),
+            since: r.time(),
+        },
+        2 => VcpuState::Blocked { since: r.time() },
+        t => panic!("unknown VcpuState tag {t}"),
+    }
+}
+
+fn load_prio(r: &mut SnapReader<'_>) -> Prio {
+    match r.u8() {
+        0 => Prio::Boost,
+        1 => Prio::Under,
+        2 => Prio::Over,
+        t => panic!("unknown Prio tag {t}"),
+    }
+}
+
+fn load_queue(r: &mut SnapReader<'_>) -> VecDeque<GlobalVcpu> {
+    r.seq(load_gv).into()
 }
 
 /// Test helper: runs a sink-style scheduler call and returns the events it
@@ -1725,241 +1951,5 @@ mod scheduler_proptests {
                 Ok(())
             },
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint/restore and migration export
-// ---------------------------------------------------------------------------
-
-pub(crate) use snapshot::{load_gv, load_vcpu_state, save_gv, save_vcpu_state};
-
-mod snapshot {
-    use super::*;
-    use crate::api::{DomSchedExport, VcpuSchedExport};
-    use sim_core::snap::{SnapReader, SnapWriter};
-
-    /// Serializes a [`GlobalVcpu`] (domain index + in-domain vCPU index).
-    pub(crate) fn save_gv(w: &mut SnapWriter, gv: GlobalVcpu) {
-        w.usize(gv.dom.index());
-        w.usize(gv.vcpu.index());
-    }
-
-    /// Reads a [`GlobalVcpu`] written by [`save_gv`].
-    pub(crate) fn load_gv(r: &mut SnapReader<'_>) -> GlobalVcpu {
-        let dom = DomId(r.usize());
-        GlobalVcpu::new(dom, VcpuId(r.usize()))
-    }
-
-    /// Serializes a [`VcpuState`] as a tag byte plus fields.
-    pub(crate) fn save_vcpu_state(w: &mut SnapWriter, s: VcpuState) {
-        match s {
-            VcpuState::Running { pcpu, since } => {
-                w.u8(0);
-                w.usize(pcpu.index());
-                w.time(since);
-            }
-            VcpuState::Runnable { pcpu, since } => {
-                w.u8(1);
-                w.usize(pcpu.index());
-                w.time(since);
-            }
-            VcpuState::Blocked { since } => {
-                w.u8(2);
-                w.time(since);
-            }
-        }
-    }
-
-    /// Reads a [`VcpuState`] written by [`save_vcpu_state`].
-    pub(crate) fn load_vcpu_state(r: &mut SnapReader<'_>) -> VcpuState {
-        match r.u8() {
-            0 => VcpuState::Running {
-                pcpu: PcpuId(r.usize()),
-                since: r.time(),
-            },
-            1 => VcpuState::Runnable {
-                pcpu: PcpuId(r.usize()),
-                since: r.time(),
-            },
-            2 => VcpuState::Blocked { since: r.time() },
-            t => panic!("unknown VcpuState tag {t}"),
-        }
-    }
-
-    fn load_prio(r: &mut SnapReader<'_>) -> Prio {
-        match r.u8() {
-            0 => Prio::Boost,
-            1 => Prio::Under,
-            2 => Prio::Over,
-            t => panic!("unknown Prio tag {t}"),
-        }
-    }
-
-    fn load_queue(r: &mut SnapReader<'_>) -> VecDeque<GlobalVcpu> {
-        r.seq(load_gv).into()
-    }
-
-    impl CreditScheduler {
-        /// Serializes all mutable scheduler state. The configuration and
-        /// the pCPU/domain/vCPU populations are structural: restore
-        /// targets a pool built the same way and asserts they match.
-        pub fn save_state(&self, w: &mut SnapWriter) {
-            let CreditScheduler {
-                config: _,
-                pcpus,
-                domains,
-                hot,
-                stats,
-                extend_window_start,
-                extend_version,
-                migrations,
-                total_run_ns,
-                park_buf: _,
-                unpark_buf: _,
-                active_buf: _,
-                params_buf: _,
-                infos_buf: _,
-            } = self;
-            w.section("credit");
-            w.seq(pcpus.iter(), |w, p| {
-                for q in &p.queues {
-                    w.seq(q.iter(), |w, gv| save_gv(w, *gv));
-                }
-                w.opt(p.current.as_ref(), |w, gv| save_gv(w, *gv));
-                w.time(p.run_since);
-                w.u64(p.gen);
-                w.u64(p.switches);
-            });
-            w.seq(domains.iter(), |w, d| {
-                w.u32(d.weight);
-                w.opt(d.cap_pcpus.as_ref(), |w, v| w.f64(*v));
-                w.opt(d.reservation_pcpus.as_ref(), |w, v| w.f64(*v));
-                w.dur(d.consumed_acct);
-                w.dur(d.consumed_extend);
-                d.extend.save(w);
-                w.u64(d.kicks_throttled);
-            });
-            w.seq(hot.values().iter(), |w, v| {
-                save_vcpu_state(w, v.state);
-                w.u8(v.prio as u8);
-                w.i64(v.credits_ns);
-                w.usize(v.last_pcpu.index());
-                w.bool(v.frozen);
-                w.bool(v.parked);
-                w.time(v.burn_from);
-            });
-            w.seq(stats.values().iter(), |w, s| {
-                w.dur(s.wait_total);
-                w.dur(s.run_total);
-                w.u64(s.scheduled_count);
-            });
-            w.time(*extend_window_start);
-            w.u64(*extend_version);
-            w.u64(*migrations);
-            w.u64(*total_run_ns);
-        }
-
-        /// Restores state saved by [`CreditScheduler::save_state`] into a
-        /// structurally identical pool.
-        pub fn load_state(&mut self, r: &mut SnapReader<'_>) {
-            r.section("credit");
-            let pcpus = r.seq(|r| Pcpu {
-                queues: [load_queue(r), load_queue(r), load_queue(r)],
-                current: r.opt(load_gv),
-                run_since: r.time(),
-                gen: r.u64(),
-                switches: r.u64(),
-            });
-            assert_eq!(pcpus.len(), self.pcpus.len(), "pCPU count drifted");
-            self.pcpus = pcpus;
-            let domains = r.seq(|r| Domain {
-                weight: r.u32(),
-                cap_pcpus: r.opt(|r| r.f64()),
-                reservation_pcpus: r.opt(|r| r.f64()),
-                consumed_acct: r.dur(),
-                consumed_extend: r.dur(),
-                extend: ExtendInfo::load(r),
-                kicks_throttled: r.u64(),
-            });
-            assert_eq!(domains.len(), self.domains.len(), "domain count drifted");
-            self.domains = domains;
-            let hot = r.seq(|r| Vcpu {
-                state: load_vcpu_state(r),
-                prio: load_prio(r),
-                credits_ns: r.i64(),
-                last_pcpu: PcpuId(r.usize()),
-                frozen: r.bool(),
-                parked: r.bool(),
-                burn_from: r.time(),
-            });
-            assert_eq!(hot.len(), self.hot.len(), "vCPU count drifted");
-            for (dst, src) in self.hot.values_mut().iter_mut().zip(hot) {
-                *dst = src;
-            }
-            let stats = r.seq(|r| VcpuStats {
-                wait_total: r.dur(),
-                run_total: r.dur(),
-                scheduled_count: r.u64(),
-            });
-            assert_eq!(stats.len(), self.stats.len(), "vCPU count drifted");
-            for (dst, src) in self.stats.values_mut().iter_mut().zip(stats) {
-                *dst = src;
-            }
-            self.extend_window_start = r.time();
-            self.extend_version = r.u64();
-            self.migrations = r.u64();
-            self.total_run_ns = r.u64();
-        }
-
-        /// Extracts the migration payload for `dom`, carrying the credit
-        /// balance alongside the generic flags.
-        pub fn export_domain_state(&self, dom: DomId) -> DomSchedExport {
-            DomSchedExport {
-                vcpus: self
-                    .hot
-                    .domain(dom)
-                    .iter()
-                    .map(|v| VcpuSchedExport {
-                        frozen: v.frozen,
-                        runnable: !matches!(v.state, VcpuState::Blocked { .. }),
-                        credit: v.credits_ns,
-                    })
-                    .collect(),
-            }
-        }
-
-        /// Installs a migration payload into `dom` (a freshly created,
-        /// fully blocked twin), restoring credit balances and waking the
-        /// vCPUs that had runnable work at export.
-        pub fn import_domain_state(
-            &mut self,
-            dom: DomId,
-            x: &DomSchedExport,
-            now: SimTime,
-            events: &mut Vec<SchedEvent>,
-        ) {
-            assert_eq!(
-                x.vcpus.len(),
-                self.hot.n_vcpus(dom),
-                "vCPU count mismatch on import"
-            );
-            for (i, vx) in x.vcpus.iter().enumerate() {
-                let gv = GlobalVcpu::new(dom, VcpuId(i));
-                {
-                    let v = &mut self.hot[gv];
-                    v.credits_ns = vx.credit;
-                    v.prio = if vx.credit > 0 {
-                        Prio::Under
-                    } else {
-                        Prio::Over
-                    };
-                }
-                if vx.runnable && matches!(self.hot[gv].state, VcpuState::Blocked { .. }) {
-                    self.vcpu_wake(gv, now, events);
-                }
-                self.hot[gv].frozen = vx.frozen;
-            }
-        }
     }
 }

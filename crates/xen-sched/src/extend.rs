@@ -19,7 +19,7 @@
 //!
 //! The function here is pure — it is exercised directly by unit and property
 //! tests — and is driven by
-//! [`CreditScheduler::on_extend_tick`](crate::credit::CreditScheduler::on_extend_tick).
+//! [`CreditScheduler::on_extend_tick`](crate::api::HypervisorSched::on_extend_tick).
 
 use sim_core::time::{SimDuration, SimTime};
 

@@ -13,6 +13,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 # 256 seeded op streams per backend (invariants) and per backend pair
 # (shared conservation laws), offline, fixed seed; divergences arrive
 # pre-shrunk to a minimal op sequence. See tests/differential.rs.
@@ -22,31 +25,77 @@ differential_smoke() {
     echo "   per-backend invariants and cross-backend conservation OK"
 }
 
-# The per-backend figure grid (reduced fig6/fig11/fig14 on every
-# scheduler backend) under the same pinning discipline as the resilience
-# gate; regenerate scripts/backend_grid.sha256 deliberately with
-# scripts/bench_backend_grid.sh.
-backend_grid_gate() {
-    echo "== backend grid: per-backend fig6/fig11/fig14 must match the committed checksum =="
-    local out
-    out="$(mktemp)"
-    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=4 \
-        cargo bench -q --offline -p vscale-bench --bench backend_grid \
-        | grep '^{' | grep -v wall_ms > "$out"
-    local want got
-    want="$(cat scripts/backend_grid.sha256)"
+# Runs <bench> at the pinned quick scale with <seeds> seeds on <threads>
+# stepping threads and prints its JSON lines minus the wall-clock session
+# line — the deterministic part the checksums pin.
+run_pinned() {
+    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS="$2" VSCALE_THREADS="$3" \
+        cargo bench -q --offline -p vscale-bench --bench "$1" \
+        | grep '^{' | grep -v wall_ms
+}
+
+# One checksum-pinned bench gate:
+#
+#   pinned_gate <bench> <name> <seeds> [check...]
+#
+# Runs <bench> pinned (4 threads) and compares the output's checksum
+# against scripts/<name>.sha256; regenerate that file deliberately with
+# scripts/bench_pinned.sh <name>. Each further argument is one more check
+# on the same output, applied in order:
+#
+#   has:<regex>    some line must match (grep basic regex)
+#   none:<regex>   no line may match; the offending lines are printed
+#   t1             a rerun at VSCALE_THREADS=1 must be byte-identical
+pinned_gate() {
+    local bench="$1" name="$2" seeds="$3"
+    shift 3
+    local out="$tmp/$name.t4" want got check
+    run_pinned "$bench" "$seeds" 4 > "$out"
+    want="$(cat "scripts/$name.sha256")"
     got="$(sha256sum "$out" | cut -d' ' -f1)"
     if [ "$want" != "$got" ]; then
-        echo "backend grid drifted: want $want got $got" >&2
+        echo "$bench drifted from scripts/$name.sha256: want $want got $got" >&2
         cat "$out" >&2
-        rm -f "$out"
         exit 1
     fi
-    for b in credit credit2 dynfrac; do
-        grep -q "\"backend\":\"$b\"" "$out"
+    echo "   checksum OK ($got)"
+    for check in "$@"; do
+        case "$check" in
+            has:*)
+                if ! grep -q -- "${check#has:}" "$out"; then
+                    echo "$bench gate: no line matches ${check#has:}" >&2
+                    exit 1
+                fi
+                echo "   has ${check#has:}"
+                ;;
+            none:*)
+                if grep -q -- "${check#none:}" "$out"; then
+                    echo "$bench gate: lines match forbidden ${check#none:}:" >&2
+                    grep -- "${check#none:}" "$out" >&2
+                    exit 1
+                fi
+                echo "   none ${check#none:}"
+                ;;
+            t1)
+                run_pinned "$bench" "$seeds" 1 > "$tmp/$name.t1"
+                diff -u "$out" "$tmp/$name.t1"
+                echo "   byte-identical at VSCALE_THREADS=1 and =4"
+                ;;
+            *)
+                echo "pinned_gate: unknown check $check" >&2
+                exit 2
+                ;;
+        esac
     done
-    rm -f "$out"
-    echo "   grid checksum OK ($got), all three backends present"
+}
+
+# The per-backend figure grid (reduced fig6/fig11/fig14 on every
+# scheduler backend) under the same pinning discipline as the resilience
+# gate, plus all three backends present.
+backend_grid_gate() {
+    echo "== backend grid: per-backend fig6/fig11/fig14 must match the committed checksum =="
+    pinned_gate backend_grid backend_grid 2 \
+        'has:"backend":"credit"' 'has:"backend":"credit2"' 'has:"backend":"dynfrac"'
 }
 
 # Whole-machine dispatch cost must stay within 2x of the committed
@@ -60,8 +109,7 @@ backend_grid_gate() {
 # genuinely changes.
 machine_bench_gate() {
     echo "== machine bench: per-call floor must stay within 2x of BENCH_baseline.json =="
-    local out
-    out="$(mktemp)"
+    local out="$tmp/microcosts"
     cargo bench -q --offline -p vscale-bench --bench microcosts | grep '^{' > "$out"
     local bench base fresh
     for bench in machine_dispatch_supervised machine_steps_steady; do
@@ -71,17 +119,14 @@ machine_bench_gate() {
             | sed -E 's/.*"min_ns":([0-9]+).*/\1/;s/\..*//')"
         if [ -z "$base" ] || [ -z "$fresh" ]; then
             echo "machine bench gate: missing $bench record" >&2
-            rm -f "$out"
             exit 1
         fi
         if [ "$fresh" -gt $((base * 2)) ]; then
             echo "$bench regressed: ${fresh}ns/call vs baseline ${base}ns (ceiling $((base * 2))ns)" >&2
-            rm -f "$out"
             exit 1
         fi
         echo "   $bench: ${fresh}ns/call min (baseline ${base}ns) OK"
     done
-    rm -f "$out"
 }
 
 # The adversarial-tenant grid: checksum-pinned like the other bench
@@ -91,39 +136,12 @@ machine_bench_gate() {
 # completion time to within 1.25× of the no-attack baseline, on every
 # backend. The grid must also replay byte-identically across thread
 # counts: attack phase-locking rides the timing wheel, never wall time.
-# Regenerate scripts/attacks.sha256 deliberately with
-# scripts/bench_attacks.sh.
 attack_grid_gate() {
     echo "== attack grid: 4 attacks × 3 backends × {baseline,attacked,defended} =="
-    local out_t4 out_t1
-    out_t4="$(mktemp)"; out_t1="$(mktemp)"
-    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=4 \
-        cargo bench -q --offline -p vscale-bench --bench attack_grid \
-        | grep '^{' | grep -v wall_ms > "$out_t4"
-    local want got
-    want="$(cat scripts/attacks.sha256)"
-    got="$(sha256sum "$out_t4" | cut -d' ' -f1)"
-    if [ "$want" != "$got" ]; then
-        echo "attack grid drifted: want $want got $got" >&2
-        cat "$out_t4" >&2
-        rm -f "$out_t4" "$out_t1"
-        exit 1
-    fi
-    if grep -q '"defended_ok":false' "$out_t4"; then
-        echo "a defended cell failed to recover within the bound:" >&2
-        grep '"defended_ok":false' "$out_t4" >&2
-        rm -f "$out_t4" "$out_t1"
-        exit 1
-    fi
-    grep -q '"credit_all_inflated":true' "$out_t4"
-    grep -q '"all_defended_ok":true' "$out_t4"
-    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=1 \
-        cargo bench -q --offline -p vscale-bench --bench attack_grid \
-        | grep '^{' | grep -v wall_ms > "$out_t1"
-    diff -u "$out_t4" "$out_t1"
-    rm -f "$out_t4" "$out_t1"
-    echo "   grid checksum OK ($got); all attacks inflate on credit, all defenses recover,"
-    echo "   byte-identical at VSCALE_THREADS=1 and =4"
+    pinned_gate attack_grid attacks 2 \
+        'none:"defended_ok":false' \
+        'has:"credit_all_inflated":true' 'has:"all_defended_ok":true' \
+        t1
 }
 
 # The elastic interplay study: five fleets (static/vScale minimal,
@@ -136,48 +154,15 @@ attack_grid_gate() {
 # events, and vScale spends fewer host-seconds than the cheapest static
 # fleet that also held. The sweep must replay byte-identically across
 # thread counts: sampling rides the cluster's timing wheel and
-# actuation lands between lockstep epochs. Regenerate
-# scripts/elastic.sha256 deliberately with scripts/bench_elastic.sh.
+# actuation lands between lockstep epochs.
 elastic_gate() {
     echo "== elastic: interplay study must match the committed curves and hold the SLO =="
-    local out_t4 out_t1
-    out_t4="$(mktemp)"; out_t1="$(mktemp)"
-    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=4 \
-        cargo bench -q --offline -p vscale-bench --bench elastic_sweep \
-        | grep '^{' | grep -v wall_ms > "$out_t4"
-    local want got
-    want="$(cat scripts/elastic.sha256)"
-    got="$(sha256sum "$out_t4" | cut -d' ' -f1)"
-    if [ "$want" != "$got" ]; then
-        echo "elastic curves drifted: want $want got $got" >&2
-        cat "$out_t4" >&2
-        rm -f "$out_t4" "$out_t1"
-        exit 1
-    fi
-    local field
+    local field checks=()
     for field in vscale_auto_held vscale_auto_scaled_out vscale_auto_scaled_in \
                  static_min_breached all_zero_loss vscale_fewer_host_seconds; do
-        if ! grep '"elastic_gate"' "$out_t4" | grep -q "\"$field\":true"; then
-            echo "elastic gate attestation failed: $field" >&2
-            grep '"elastic_gate"' "$out_t4" >&2
-            rm -f "$out_t4" "$out_t1"
-            exit 1
-        fi
+        checks+=("has:\"elastic_gate\".*\"$field\":true")
     done
-    if grep -q '"drops":[1-9]' "$out_t4"; then
-        echo "an elastic run dropped requests across a scale event:" >&2
-        grep '"drops":[1-9]' "$out_t4" >&2
-        rm -f "$out_t4" "$out_t1"
-        exit 1
-    fi
-    VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=1 \
-        cargo bench -q --offline -p vscale-bench --bench elastic_sweep \
-        | grep '^{' | grep -v wall_ms > "$out_t1"
-    diff -u "$out_t4" "$out_t1"
-    rm -f "$out_t4" "$out_t1"
-    echo "   elastic checksum OK ($got); vScale+autoscaler holds the SLO with zero loss and"
-    echo "   fewer host-seconds than any SLO-holding static fleet; byte-identical at"
-    echo "   VSCALE_THREADS=1 and =4"
+    pinned_gate elastic_sweep elastic 2 "${checks[@]}" 'none:"drops":[1-9]' t1
 }
 
 case "${1:-all}" in
@@ -213,8 +198,7 @@ echo "== parallel smoke: seed sweep must be byte-stable across thread counts =="
 # Same 4-seed sweep at 1 and 4 threads; everything except the wall-clock
 # session line (wall_ms, which also carries the thread count) must match
 # byte for byte.
-sweep_t1="$(mktemp)"; sweep_t4="$(mktemp)"
-trap 'rm -f "$sweep_t1" "$sweep_t4"' EXIT
+sweep_t1="$tmp/sweep.t1"; sweep_t4="$tmp/sweep.t4"
 VSCALE_THREADS=1 VSCALE_BENCH_SEEDS=4 \
     cargo bench -q --offline -p vscale-bench --bench seed_sweep_smoke \
     | grep -v wall_ms > "$sweep_t1"
@@ -230,8 +214,7 @@ echo "== chaos: fault-injection suite + fixed-plan replay smoke =="
 cargo test -q --offline --test chaos
 # A fixed fault plan swept over seeds must be byte-stable across thread
 # counts too: fault draws ride the plan's private RNG, not wall clock.
-chaos_t1="$(mktemp)"; chaos_t4="$(mktemp)"
-trap 'rm -f "$sweep_t1" "$sweep_t4" "$chaos_t1" "$chaos_t4"' EXIT
+chaos_t1="$tmp/chaos.t1"; chaos_t4="$tmp/chaos.t4"
 VSCALE_THREADS=1 VSCALE_BENCH_SEEDS=4 \
     cargo bench -q --offline -p vscale-bench --bench chaos_smoke \
     | grep -v wall_ms > "$chaos_t1"
@@ -243,46 +226,18 @@ echo "   fault-plan replay byte-identical at VSCALE_THREADS=1 and =4"
 
 echo "== resilience: fixed-plan sweep must match the committed degradation curve =="
 # The pinned sweep (quick scale, 3 seeds, 4 threads) is fully
-# deterministic once wall_ms is stripped; its checksum is committed in
-# scripts/resilience.sha256. A mismatch means a behavior change moved
-# the degradation curve — regenerate deliberately with
-# scripts/bench_resilience.sh and review the new curve in the diff.
-resilience_out="$(mktemp)"
-trap 'rm -f "$sweep_t1" "$sweep_t4" "$chaos_t1" "$chaos_t4" "$resilience_out"' EXIT
-VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=3 VSCALE_THREADS=4 \
-    cargo bench -q --offline -p vscale-bench --bench resilience \
-    | grep '^{' | grep -v wall_ms > "$resilience_out"
-want="$(cat scripts/resilience.sha256)"
-got="$(sha256sum "$resilience_out" | cut -d' ' -f1)"
-if [ "$want" != "$got" ]; then
-    echo "resilience curve drifted: want $want got $got" >&2
-    cat "$resilience_out" >&2
-    exit 1
-fi
-grep -q '"recovery_active":true' "$resilience_out"
-grep -q '"monotone_within_50000ppm":true' "$resilience_out"
-echo "   curve checksum OK ($got), monotone, recovery active"
+# deterministic once wall_ms is stripped. A checksum mismatch means a
+# behavior change moved the degradation curve — regenerate deliberately
+# with scripts/bench_pinned.sh resilience and review the new curve in
+# the diff. The curve must also stay monotone with recovery active.
+pinned_gate resilience resilience 3 \
+    'has:"recovery_active":true' 'has:"monotone_within_50000ppm":true'
 
 echo "== cluster: fleet sweep must match the committed curves and separate the modes =="
-# Same pinning discipline as the resilience gate: the sweep (quick
-# scale, 2 seeds, 4 threads) is deterministic once wall_ms is stripped,
-# and its closing gate line must show vScale sustaining strictly more
-# offered load than static SMP at the fleet p99 SLO. Regenerate the
-# checksum deliberately with scripts/bench_cluster.sh.
-cluster_out="$(mktemp)"
-trap 'rm -f "$sweep_t1" "$sweep_t4" "$chaos_t1" "$chaos_t4" "$resilience_out" "$cluster_out"' EXIT
-VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=4 \
-    cargo bench -q --offline -p vscale-bench --bench cluster_sweep \
-    | grep '^{' | grep -v wall_ms > "$cluster_out"
-want="$(cat scripts/cluster.sha256)"
-got="$(sha256sum "$cluster_out" | cut -d' ' -f1)"
-if [ "$want" != "$got" ]; then
-    echo "fleet curves drifted: want $want got $got" >&2
-    cat "$cluster_out" >&2
-    exit 1
-fi
-grep -q '"vscale_gt_static":true' "$cluster_out"
-echo "   fleet checksum OK ($got), vScale sustains more load than static at the p99 SLO"
+# Same pinning discipline as the resilience gate (2 seeds), and the
+# closing gate line must show vScale sustaining strictly more offered
+# load than static SMP at the fleet p99 SLO.
+pinned_gate cluster_sweep cluster 2 'has:"vscale_gt_static":true'
 
 echo "== migration: failover sweep must match the committed numbers and lose nothing =="
 # Live migration across a dirty-rate × link-latency grid plus two
@@ -290,35 +245,15 @@ echo "== migration: failover sweep must match the committed numbers and lose not
 # the same pinning discipline as the other bench gates. Beyond the
 # checksum, the closing gate line must attest zero request loss across
 # every scenario and that both cutover and capped-retry abort paths
-# actually ran; the whole sweep must also replay byte-identically across
-# thread counts, because crashes, restores, and blackout cutovers all
-# land at epoch boundaries of the threaded stepper. Regenerate
-# scripts/migration.sha256 deliberately with scripts/bench_migration.sh.
-mig_t4="$(mktemp)"; mig_t1="$(mktemp)"
-trap 'rm -f "$sweep_t1" "$sweep_t4" "$chaos_t1" "$chaos_t4" "$resilience_out" "$cluster_out" "$mig_t4" "$mig_t1"' EXIT
-VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=4 \
-    cargo bench -q --offline -p vscale-bench --bench migration_sweep \
-    | grep '^{' | grep -v wall_ms > "$mig_t4"
-want="$(cat scripts/migration.sha256)"
-got="$(sha256sum "$mig_t4" | cut -d' ' -f1)"
-if [ "$want" != "$got" ]; then
-    echo "migration sweep drifted: want $want got $got" >&2
-    cat "$mig_t4" >&2
-    exit 1
-fi
-grep '"migration_gate"' "$mig_t4" | grep -q '"zero_loss":true'
-grep '"migration_gate"' "$mig_t4" | grep -q '"abort_and_cutover_seen":true'
-if grep -v '"migration_gate"' "$mig_t4" | grep -q '"zero_loss":false'; then
-    echo "a migration scenario lost or double-served requests:" >&2
-    grep '"zero_loss":false' "$mig_t4" >&2
-    exit 1
-fi
-VSCALE_BENCH_SCALE=quick VSCALE_BENCH_SEEDS=2 VSCALE_THREADS=1 \
-    cargo bench -q --offline -p vscale-bench --bench migration_sweep \
-    | grep '^{' | grep -v wall_ms > "$mig_t1"
-diff -u "$mig_t4" "$mig_t1"
-echo "   migration checksum OK ($got); zero loss everywhere, abort and cutover both exercised,"
-echo "   byte-identical at VSCALE_THREADS=1 and =4"
+# actually ran, and no scenario may report a loss; the whole sweep must
+# also replay byte-identically across thread counts, because crashes,
+# restores, and blackout cutovers all land at epoch boundaries of the
+# threaded stepper.
+pinned_gate migration_sweep migration 2 \
+    'has:"migration_gate".*"zero_loss":true' \
+    'has:"migration_gate".*"abort_and_cutover_seen":true' \
+    'none:"zero_loss":false' \
+    t1
 
 elastic_gate
 
