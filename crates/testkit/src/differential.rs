@@ -46,8 +46,8 @@
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::time::{SimDuration, SimTime};
-use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
-use xen_sched::HypervisorSched;
+use xen_sched::pool::Pool;
+use xen_sched::{CreditConfig, CreditScheduler, HypervisorSched, SchedEvent, VcpuState};
 
 use crate::gen::{one_of, tuple2, u8_in, usize_in, vec_of, Gen};
 use crate::runner::{find_minimal, Config, Counterexample};
@@ -436,31 +436,35 @@ pub fn minimize_pair_adversarial<A: HypervisorSched, B: HypervisorSched>(
 /// freezes a running vCPU trips the "frozen vCPU is running" structural
 /// check, and the minimal reproducer is two ops (wake it, freeze it).
 /// `tests/differential.rs` asserts the shrinker actually converges there.
-pub struct BrokenFreezeScheduler(xen_sched::CreditScheduler);
+pub struct BrokenFreezeScheduler(CreditScheduler);
 
 impl HypervisorSched for BrokenFreezeScheduler {
+    type Policy = <CreditScheduler as HypervisorSched>::Policy;
+
     fn new_pool(config: CreditConfig, n_pcpus: usize) -> Self {
-        BrokenFreezeScheduler(xen_sched::CreditScheduler::new_pool(config, n_pcpus))
+        BrokenFreezeScheduler(CreditScheduler::new_pool(config, n_pcpus))
     }
 
     fn backend_name() -> &'static str {
         "broken-freeze"
     }
 
+    fn pool(&self) -> &Pool<Self::Policy> {
+        self.0.pool()
+    }
+
+    fn pool_mut(&mut self) -> &mut Pool<Self::Policy> {
+        self.0.pool_mut()
+    }
+
     fn vcpu_block(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         // THE BUG: a frozen vCPU's block is dropped on the floor.
-        if self.0.is_frozen(gv) {
+        if self.is_frozen(gv) {
             return;
         }
         self.0.vcpu_block(gv, now, events)
     }
 
-    fn n_pcpus(&self) -> usize {
-        self.0.n_pcpus()
-    }
-    fn n_domains(&self) -> usize {
-        self.0.n_domains()
-    }
     fn create_domain(
         &mut self,
         weight: u32,
@@ -470,9 +474,6 @@ impl HypervisorSched for BrokenFreezeScheduler {
     ) -> DomId {
         self.0
             .create_domain(weight, n_vcpus, cap_pcpus, reservation_pcpus)
-    }
-    fn n_vcpus(&self, dom: DomId) -> usize {
-        HypervisorSched::n_vcpus(&self.0, dom)
     }
     fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>) {
         self.0.on_tick(pcpu, now, events)
@@ -495,54 +496,6 @@ impl HypervisorSched for BrokenFreezeScheduler {
     fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>) {
         self.0.kick_vcpu(gv, now, events)
     }
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
-        self.0.set_frozen(gv, frozen)
-    }
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
-        self.0.is_frozen(gv)
-    }
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
-        self.0.running_on(pcpu)
-    }
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
-        self.0.where_running(gv)
-    }
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
-        self.0.vcpu_state(gv)
-    }
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
-        self.0.pcpu_gen(pcpu)
-    }
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
-        self.0.domain_wait_total(dom)
-    }
-    fn domain_run_total(&self, dom: DomId) -> SimDuration {
-        self.0.domain_run_total(dom)
-    }
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.0.vcpu_wait_total(gv)
-    }
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
-        self.0.vcpu_run_total(gv)
-    }
-    fn total_run_ns(&self) -> u64 {
-        self.0.total_run_ns()
-    }
-    fn migrations(&self) -> u64 {
-        HypervisorSched::migrations(&self.0)
-    }
-    fn switches(&self, pcpu: PcpuId) -> u64 {
-        self.0.switches(pcpu)
-    }
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
-        self.0.scheduled_count(gv)
-    }
-    fn extendability(&self, dom: DomId) -> xen_sched::ExtendInfo {
-        self.0.extendability(dom)
-    }
-    fn extend_version(&self) -> u64 {
-        self.0.extend_version()
-    }
     fn save(&self, w: &mut SnapWriter) {
         self.0.save(w)
     }
@@ -554,7 +507,7 @@ impl HypervisorSched for BrokenFreezeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xen_sched::{Credit2Scheduler, CreditScheduler, DynFracScheduler};
+    use xen_sched::{Credit2Scheduler, DynFracScheduler};
 
     fn smoke(ops: &[Op]) -> Scenario {
         Scenario {

@@ -3,10 +3,10 @@
 //! vScale (EuroSys'16) is evaluated against Xen's credit scheduler only,
 //! but nothing in the design — Algorithm 1's extendability computation,
 //! the per-VM channel, the guest-side balancer — is credit-specific. This
-//! trait extracts the exact surface the embedding machine
+//! trait is the exact surface the embedding machine
 //! (`vscale::machine::Machine`), the vScale channel, and the differential
-//! test harness consume from [`CreditScheduler`](crate::credit::CreditScheduler), so alternative policies
-//! can slot in behind the same event-driven contract:
+//! test harness consume, so alternative policies slot in behind the same
+//! event-driven contract:
 //!
 //! - [`crate::credit::CreditScheduler`] — the paper's baseline: Xen's
 //!   proportional-share credit scheduler with the §4.2 freeze-aware
@@ -18,6 +18,13 @@
 //! - [`crate::dynfrac::DynFracScheduler`] — a dynamic-fractional policy
 //!   (à la Casanova et al.'s DFRS): continuous CPU shares recomputed
 //!   every accounting epoch, with vruntime-ordered pick-next.
+//!
+//! Each backend owns one [`Pool`] — the policy-independent core
+//! (assignment record, freeze flags, run/wait accounting, the Algorithm
+//! 1 ticker) — and implements only its policy: the driving methods
+//! (`on_tick`, `vcpu_wake`, ...), `create_domain`, and its checkpoint
+//! section. Every read-only accessor, the freeze flag and the migration
+//! payload are provided once here over [`HypervisorSched::pool`].
 //!
 //! # The driving contract
 //!
@@ -42,18 +49,21 @@
 //!   (`testkit::differential`) check total run time against pCPU
 //!   capacity across backends.
 //!
+//! The pool methods a backend calls to place, detach and burn keep the
+//! first two rules and the last by construction.
+//!
 //! All backends are constructed from the same [`CreditConfig`] timing
 //! block (tick, slice, accounting period, extendability window), so one
 //! `MachineConfig` drives any backend and cross-backend runs share the
 //! same time base.
 
 use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
+use sim_core::snap::{SnapReader, SnapWriter};
 use sim_core::time::{SimDuration, SimTime};
 
-use sim_core::snap::{SnapReader, SnapWriter};
-
-use crate::credit::{CreditConfig, SchedEvent, VcpuState};
+use crate::credit::CreditConfig;
 use crate::extend::ExtendInfo;
+use crate::pool::{Pool, SchedEvent, VcpuPolicy, VcpuState};
 
 /// Per-vCPU scheduler state that travels with a live migration.
 ///
@@ -62,7 +72,7 @@ use crate::extend::ExtendInfo;
 /// and timeline, so only policy-portable facts are carried: the freeze
 /// flag, whether the vCPU had runnable work, and its credit balance
 /// (ignored by backends without a credit notion).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VcpuSchedExport {
     /// The guest-requested freeze flag (`SCHEDOP_freezecpu`).
     pub frozen: bool,
@@ -76,7 +86,7 @@ pub struct VcpuSchedExport {
 /// The per-domain scheduler payload of a live migration, produced by
 /// [`HypervisorSched::export_domain`] and consumed by
 /// [`HypervisorSched::import_domain`] on the destination pool.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DomSchedExport {
     /// One entry per vCPU, in vCPU-index order.
     pub vcpus: Vec<VcpuSchedExport>,
@@ -86,6 +96,10 @@ pub struct DomSchedExport {
 /// channel, and the differential harness. See the module docs for the
 /// event/generation contract every implementation must honor.
 pub trait HypervisorSched {
+    /// The backend's per-vCPU policy fields, embedded in the pool's hot
+    /// per-vCPU record.
+    type Policy: VcpuPolicy;
+
     /// Creates a backend managing `n_pcpus` physical CPUs, with timing
     /// parameters (tick, slice, accounting period, extendability window)
     /// taken from the shared `config` block.
@@ -98,11 +112,11 @@ pub trait HypervisorSched {
     where
         Self: Sized;
 
-    /// Number of pCPUs in the pool.
-    fn n_pcpus(&self) -> usize;
+    /// The policy-independent core this backend owns.
+    fn pool(&self) -> &Pool<Self::Policy>;
 
-    /// Number of domains created so far.
-    fn n_domains(&self) -> usize;
+    /// Mutable access to the core (freeze flags and migration imports).
+    fn pool_mut(&mut self) -> &mut Pool<Self::Policy>;
 
     /// Creates a domain with `n_vcpus` vCPUs and proportional-share
     /// `weight`; all vCPUs start blocked. `cap_pcpus` /
@@ -115,9 +129,6 @@ pub trait HypervisorSched {
         reservation_pcpus: Option<f64>,
     ) -> DomId;
 
-    /// Number of vCPUs of `dom`.
-    fn n_vcpus(&self, dom: DomId) -> usize;
-
     /// Per-pCPU periodic tick: burn/account run time and preempt if the
     /// policy says so.
     fn on_tick(&mut self, pcpu: PcpuId, now: SimTime, events: &mut Vec<SchedEvent>);
@@ -126,8 +137,9 @@ pub trait HypervisorSched {
     /// caps, rebalance.
     fn on_acct(&mut self, now: SimTime, events: &mut Vec<SchedEvent>);
 
-    /// Extendability window tick: recompute Algorithm 1 for every domain
-    /// and republish the per-domain [`ExtendInfo`] snapshots.
+    /// Extendability window tick: burn every pCPU up to `now`, then
+    /// recompute Algorithm 1 for every domain and republish the
+    /// per-domain [`ExtendInfo`] snapshots.
     fn on_extend_tick(&mut self, now: SimTime);
 
     /// The time slice of the vCPU on `pcpu` expired.
@@ -146,69 +158,6 @@ pub trait HypervisorSched {
     /// but bypassing any preemption rate limit.
     fn kick_vcpu(&mut self, gv: GlobalVcpu, now: SimTime, events: &mut Vec<SchedEvent>);
 
-    /// Marks `gv` frozen/unfrozen for *accounting* (the paper's §4.2:
-    /// a frozen vCPU no longer splits its domain's credits). The guest
-    /// blocks/wakes the vCPU separately.
-    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool);
-
-    /// Whether the guest has frozen this vCPU.
-    fn is_frozen(&self, gv: GlobalVcpu) -> bool;
-
-    /// The vCPU currently running on `pcpu`, if any.
-    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu>;
-
-    /// The pCPU `gv` currently runs on, if it is running.
-    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId>;
-
-    /// The state of a vCPU.
-    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState;
-
-    /// The assignment generation of `pcpu` (bumps on every change).
-    fn pcpu_gen(&self, pcpu: PcpuId) -> u64;
-
-    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
-    fn domain_wait_total(&self, dom: DomId) -> SimDuration;
-
-    /// Sum of run time across all vCPUs of `dom`.
-    fn domain_run_total(&self, dom: DomId) -> SimDuration;
-
-    /// Total time `gv` has spent waiting runnable in run queues.
-    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration;
-
-    /// Total time `gv` has spent running on pCPUs.
-    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration;
-
-    /// Machine-wide run time aggregate in nanoseconds, maintained O(1)
-    /// at burn time. The machine's watchdog progress fingerprint reads
-    /// this once per check instead of folding every domain's per-vCPU
-    /// totals on the dispatch path.
-    fn total_run_ns(&self) -> u64;
-
-    /// Number of vCPU cross-pCPU migrations (steals) performed.
-    fn migrations(&self) -> u64;
-
-    /// Context switches performed on `pcpu`.
-    fn switches(&self, pcpu: PcpuId) -> u64;
-
-    /// How many times `gv` has been placed on a pCPU.
-    fn scheduled_count(&self, gv: GlobalVcpu) -> u64;
-
-    /// The latest Algorithm 1 snapshot for `dom` (the vScale channel
-    /// serves this).
-    fn extendability(&self, dom: DomId) -> ExtendInfo;
-
-    /// Publication version of the extendability snapshots (seqlock
-    /// analogue; bumps on every [`HypervisorSched::on_extend_tick`]).
-    fn extend_version(&self) -> u64;
-
-    /// Kick-path evictions suppressed by the kick-throttle defense
-    /// ([`CreditConfig::kick_throttle`]) for kicks aimed at `dom`'s
-    /// vCPUs. Zero when the defense is off (the default).
-    fn kicks_throttled(&self, dom: DomId) -> u64 {
-        let _ = dom;
-        0
-    }
-
     /// Serializes the backend's complete mutable state through the
     /// checkpoint codec, exactly — restoring into a structurally
     /// identical pool and resuming must be indistinguishable from never
@@ -219,19 +168,147 @@ pub trait HypervisorSched {
     /// built from the same configuration and populations (asserted).
     fn load(&mut self, r: &mut SnapReader<'_>);
 
-    /// Extracts the migration payload for `dom`. The default is built
-    /// from the public surface and carries no credit; credit-bearing
-    /// backends override it.
+    /// Number of pCPUs in the pool.
+    fn n_pcpus(&self) -> usize {
+        self.pool().pcpus.len()
+    }
+
+    /// Number of domains created so far.
+    fn n_domains(&self) -> usize {
+        self.pool().domains.len()
+    }
+
+    /// Number of vCPUs of `dom`.
+    fn n_vcpus(&self, dom: DomId) -> usize {
+        self.pool().hot.n_vcpus(dom)
+    }
+
+    /// Marks `gv` frozen/unfrozen for *accounting* (the paper's §4.2,
+    /// the `SCHEDOP_freezecpu` hypercall: a frozen vCPU no longer splits
+    /// its domain's share). The vCPU keeps its pCPU until the guest
+    /// finishes evacuating it and blocks (Algorithm 2's split design);
+    /// the guest wakes an unfrozen vCPU separately.
+    fn set_frozen(&mut self, gv: GlobalVcpu, frozen: bool) {
+        self.pool_mut().hot[gv].frozen = frozen;
+    }
+
+    /// Whether the guest has frozen this vCPU.
+    fn is_frozen(&self, gv: GlobalVcpu) -> bool {
+        self.pool().hot[gv].frozen
+    }
+
+    /// The vCPU currently running on `pcpu`, if any.
+    fn running_on(&self, pcpu: PcpuId) -> Option<GlobalVcpu> {
+        self.pool().pcpus[pcpu.index()].current
+    }
+
+    /// The pCPU `gv` currently runs on, if it is running.
+    fn where_running(&self, gv: GlobalVcpu) -> Option<PcpuId> {
+        match self.pool().hot[gv].state {
+            VcpuState::Running { pcpu, .. } => Some(pcpu),
+            _ => None,
+        }
+    }
+
+    /// The state of a vCPU.
+    fn vcpu_state(&self, gv: GlobalVcpu) -> VcpuState {
+        self.pool().hot[gv].state
+    }
+
+    /// The assignment generation of `pcpu` (bumps on every change).
+    fn pcpu_gen(&self, pcpu: PcpuId) -> u64 {
+        self.pool().pcpus[pcpu.index()].gen
+    }
+
+    /// Sum of waiting time across all vCPUs of `dom` (Figure 9 metric).
+    fn domain_wait_total(&self, dom: DomId) -> SimDuration {
+        self.pool()
+            .stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.wait_total))
+    }
+
+    /// Sum of run time across all vCPUs of `dom`.
+    fn domain_run_total(&self, dom: DomId) -> SimDuration {
+        self.pool()
+            .stats
+            .domain(dom)
+            .iter()
+            .fold(SimDuration::ZERO, |acc, v| acc.saturating_add(v.run_total))
+    }
+
+    /// Total time `gv` has spent waiting runnable in run queues.
+    fn vcpu_wait_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.pool().stats[gv].wait_total
+    }
+
+    /// Total time `gv` has spent running on pCPUs.
+    fn vcpu_run_total(&self, gv: GlobalVcpu) -> SimDuration {
+        self.pool().stats[gv].run_total
+    }
+
+    /// Machine-wide run time aggregate in nanoseconds, maintained O(1)
+    /// at burn time. The machine's watchdog progress fingerprint reads
+    /// this once per check instead of folding every domain's per-vCPU
+    /// totals on the dispatch path.
+    fn total_run_ns(&self) -> u64 {
+        self.pool().total_run_ns
+    }
+
+    /// Number of vCPU cross-pCPU migrations, as the policy counts them
+    /// (credit: steals; credit2 and dynfrac: placements on a pCPU other
+    /// than the last one).
+    fn migrations(&self) -> u64 {
+        self.pool().migrations
+    }
+
+    /// Context switches performed on `pcpu`.
+    fn switches(&self, pcpu: PcpuId) -> u64 {
+        self.pool().pcpus[pcpu.index()].switches
+    }
+
+    /// How many times `gv` has been placed on a pCPU.
+    fn scheduled_count(&self, gv: GlobalVcpu) -> u64 {
+        self.pool().stats[gv].scheduled_count
+    }
+
+    /// The latest Algorithm 1 snapshot for `dom` (the
+    /// `SCHEDOP_getvscaleinfo` hypercall payload the vScale channel
+    /// serves).
+    fn extendability(&self, dom: DomId) -> ExtendInfo {
+        self.pool().domains[dom.index()].extend
+    }
+
+    /// Publication version of the extendability snapshots (seqlock
+    /// analogue; bumps on every [`HypervisorSched::on_extend_tick`] that
+    /// republishes). A reader holding snapshot version `v` knows a serve
+    /// is stale when `v < extend_version()` yet the serve repeats version
+    /// `v`'s fields.
+    fn extend_version(&self) -> u64 {
+        self.pool().extend_version
+    }
+
+    /// Kick-path evictions suppressed by the kick-throttle defense
+    /// ([`CreditConfig::kick_throttle`]) for kicks aimed at `dom`'s
+    /// vCPUs. Zero when the defense is off (the default).
+    fn kicks_throttled(&self, dom: DomId) -> u64 {
+        self.pool().domains[dom.index()].kicks_throttled
+    }
+
+    /// Extracts the migration payload for `dom`: freeze flags, whether
+    /// each vCPU had runnable work, and the policy's credit balances.
     fn export_domain(&self, dom: DomId) -> DomSchedExport {
         DomSchedExport {
-            vcpus: (0..self.n_vcpus(dom))
-                .map(|v| {
-                    let gv = GlobalVcpu::new(dom, VcpuId(v));
-                    VcpuSchedExport {
-                        frozen: self.is_frozen(gv),
-                        runnable: !matches!(self.vcpu_state(gv), VcpuState::Blocked { .. }),
-                        credit: 0,
-                    }
+            vcpus: self
+                .pool()
+                .hot
+                .domain(dom)
+                .iter()
+                .map(|v| VcpuSchedExport {
+                    frozen: v.frozen,
+                    runnable: !matches!(v.state, VcpuState::Blocked { .. }),
+                    credit: v.policy.credit(),
                 })
                 .collect(),
         }
@@ -252,9 +329,10 @@ pub trait HypervisorSched {
     }
 
     /// Installs a payload from [`HypervisorSched::export_domain`] into
-    /// `dom` — a freshly created, fully blocked twin — waking the vCPUs
-    /// that had runnable work. Wake precedes the freeze-flag restore
-    /// because a frozen vCPU keeps running until the guest blocks it.
+    /// `dom` — a freshly created, fully blocked twin — restoring credit
+    /// balances and waking the vCPUs that had runnable work. Wake
+    /// precedes the freeze-flag restore because a frozen vCPU keeps
+    /// running until the guest blocks it.
     fn import_domain(
         &mut self,
         dom: DomId,
@@ -269,6 +347,7 @@ pub trait HypervisorSched {
         );
         for (v, x) in export.vcpus.iter().enumerate() {
             let gv = GlobalVcpu::new(dom, VcpuId(v));
+            self.pool_mut().hot[gv].policy.set_credit(x.credit);
             if x.runnable && matches!(self.vcpu_state(gv), VcpuState::Blocked { .. }) {
                 self.vcpu_wake(gv, now, events);
             }

@@ -2,11 +2,23 @@
 //!
 //! This crate implements the hypervisor half of the vScale reproduction:
 //!
+//! - [`api`] — [`HypervisorSched`], the backend-independent surface the
+//!   machine drives, with every read-only accessor provided once.
+//! - [`pool`] — the policy-independent core each backend owns: the pCPU
+//!   assignment record and its `Run`/`Desched` events, the per-vCPU hot
+//!   record with the §4.2 freeze flag, exact run/wait accounting, the
+//!   Algorithm 1 ticker, and their checkpoint section.
 //! - [`credit`] — the proportional-share *credit scheduler* (Xen's default
 //!   scheduler at the time of the paper): 10 ms ticks, 30 ms accounting and
 //!   time slices, BOOST/UNDER/OVER priorities, work-conserving idle stealing,
-//!   and per-VM weights (the paper's §4.2 modification — freezing vCPUs does
-//!   not change a domain's total credit).
+//!   caps, and per-VM weights (the paper's §4.2 modification — freezing
+//!   vCPUs does not change a domain's total credit).
+//! - [`credit2`] — a Credit2-style policy: per-pCPU runqueues ordered by
+//!   credit, weight-scaled burn, credit-reset epochs and runqueue
+//!   balancing.
+//! - [`dynfrac`] — a dynamic-fractional policy (à la Casanova et al.'s
+//!   DFRS): continuous per-vCPU CPU shares and minimum-vruntime pick-next
+//!   from one global queue.
 //! - [`extend`] — **Algorithm 1** of the paper: the periodic computation of
 //!   every SMP domain's *CPU extendability* (its maximum achievable CPU
 //!   allocation under current machine-wide load) and the optimal number of
@@ -23,7 +35,7 @@
 //! The scheduler is a passive decision-making data structure: it owns no
 //! event loop. The embedding machine (the `vscale` crate) drives it with
 //! `on_tick` / `on_acct` / `slice_expired` / `vcpu_wake` / ... calls and
-//! receives [`credit::SchedEvent`]s describing pCPU assignment changes.
+//! receives [`SchedEvent`]s describing pCPU assignment changes.
 
 pub mod api;
 pub mod channel;
@@ -33,11 +45,13 @@ pub mod dynfrac;
 pub mod evtchn;
 pub mod extend;
 pub mod libxl_model;
+pub mod pool;
 
 pub use api::{DomSchedExport, HypervisorSched, VcpuSchedExport};
 pub use channel::VscaleChannel;
-pub use credit::{CreditConfig, CreditScheduler, Prio, SchedEvent, VcpuState};
+pub use credit::{CreditConfig, CreditScheduler, Prio};
 pub use credit2::Credit2Scheduler;
 pub use dynfrac::DynFracScheduler;
 pub use extend::{ExtendInfo, ExtendParams};
+pub use pool::{SchedEvent, VcpuState};
 pub use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};

@@ -23,9 +23,9 @@ use sim_core::ids::{DomId, GlobalVcpu, PcpuId, VcpuId};
 use sim_core::time::{SimDuration, SimTime};
 use testkit::differential::{scenario_gen, Op, Scenario};
 use testkit::source::Source;
-use xen_sched::credit::{CreditConfig, SchedEvent, VcpuState};
 use xen_sched::credit2::Credit2Scheduler;
 use xen_sched::dynfrac::DynFracScheduler;
+use xen_sched::{CreditConfig, SchedEvent, VcpuState};
 use xen_sched::{CreditScheduler, HypervisorSched};
 
 /// Must match `testkit::differential::OP_STEP`.
