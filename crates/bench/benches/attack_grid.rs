@@ -23,7 +23,7 @@
 use metrics::{AttackCell, AttackGrid, AttackSample, SloCurve, SloPoint};
 use sim_core::time::SimTime;
 use testkit::parallel::run_items_parallel_checked;
-use vscale::config::{DefenseConfig, MachineConfig, SchedBackend, SystemConfig};
+use vscale::config::{DefenseConfig, MachineConfig, SystemConfig};
 use vscale::Machine;
 use vscale_bench::experiment::seeds_from_env;
 use workloads::antagonist::{self, AntagonistMode, AntagonistSpec, AttackKind};
@@ -107,26 +107,6 @@ fn run_one<S: HypervisorSched>(
     Ok(sample)
 }
 
-/// [`run_one`] dispatched over the backend axis.
-fn run_on(
-    backend: SchedBackend,
-    kind: AttackKind,
-    mode: AntagonistMode,
-    defense: DefenseConfig,
-    n_attackers: usize,
-    seed: u64,
-) -> Result<AttackSample, String> {
-    match backend {
-        SchedBackend::Credit => run_one::<CreditScheduler>(kind, mode, defense, n_attackers, seed),
-        SchedBackend::Credit2 => {
-            run_one::<Credit2Scheduler>(kind, mode, defense, n_attackers, seed)
-        }
-        SchedBackend::DynFrac => {
-            run_one::<DynFracScheduler>(kind, mode, defense, n_attackers, seed)
-        }
-    }
-}
-
 /// Seed-mean of samples (integer division, like every other bench).
 fn mean(samples: &[AttackSample]) -> AttackSample {
     let n = samples.len().max(1) as u64;
@@ -148,70 +128,72 @@ fn mean(samples: &[AttackSample]) -> AttackSample {
     m
 }
 
-fn main() {
-    let session = vscale_bench::session("attack_grid");
-    let seeds = seeds_from_env();
-
-    // Flatten the whole grid into (backend, attack, cell, seed) items so
-    // the pool fans across everything at once; results fold back in
-    // deterministic grid order.
+/// The (attack × cell × seed) grid on backend `S`: one line per attack
+/// (plus one per failed run), each cell also added to `grid`. The
+/// backend's runs fan across the pool at once; results fold back in
+/// deterministic grid order.
+fn attack_rows<S: HypervisorSched>(seeds: &[u64], grid: &mut AttackGrid) {
+    let backend = S::backend_name();
     let mut items = Vec::new();
-    for backend in SchedBackend::ALL {
-        for kind in AttackKind::ALL {
-            for cell in CellKind::ALL {
-                for &seed in &seeds {
-                    items.push((backend, kind, cell, seed));
-                }
+    for kind in AttackKind::ALL {
+        for cell in CellKind::ALL {
+            for &seed in seeds {
+                items.push((kind, cell, seed));
             }
         }
     }
-    let results = run_items_parallel_checked(&items, |&(backend, kind, cell, seed)| {
+    let results = run_items_parallel_checked(&items, |&(kind, cell, seed)| {
         let (mode, defense) = match cell {
             CellKind::Baseline => (AntagonistMode::Benign, DefenseConfig::default()),
             CellKind::Attacked => (AntagonistMode::Adversarial, DefenseConfig::default()),
             CellKind::Defended => (AntagonistMode::Adversarial, kind.matching_defense()),
         };
-        run_on(backend, kind, mode, defense, 1, seed)
+        run_one::<S>(kind, mode, defense, 1, seed)
     });
 
-    let mut grid = AttackGrid::default();
     let mut it = items.iter().zip(results);
-    for backend in SchedBackend::ALL {
-        for kind in AttackKind::ALL {
-            let mut per_cell = Vec::new();
-            for _cell in CellKind::ALL {
-                let mut ok = Vec::new();
-                for _ in &seeds {
-                    let ((b, k, c, seed), r) = it.next().expect("item/result zip exhausted");
-                    match r {
-                        Ok(Ok(s)) => ok.push(s),
-                        Ok(Err(e)) => println!(
-                            "{{\"backend\":\"{}\",\"attack\":\"{}\",\"cell\":\"{c:?}\",\
-                             \"seed\":{seed},\"error\":{e:?}}}",
-                            b.label(),
-                            k.label(),
-                        ),
-                        Err(panic) => println!(
-                            "{{\"backend\":\"{}\",\"attack\":\"{}\",\"cell\":\"{c:?}\",\
-                             \"seed\":{seed},\"panic\":{panic:?}}}",
-                            b.label(),
-                            k.label(),
-                        ),
-                    }
+    for kind in AttackKind::ALL {
+        let mut per_cell = Vec::new();
+        for _cell in CellKind::ALL {
+            let mut ok = Vec::new();
+            for _ in seeds {
+                let ((k, c, seed), r) = it.next().expect("item/result zip exhausted");
+                match r {
+                    Ok(Ok(s)) => ok.push(s),
+                    Ok(Err(e)) => println!(
+                        "{{\"backend\":\"{backend}\",\"attack\":\"{}\",\"cell\":\"{c:?}\",\
+                         \"seed\":{seed},\"error\":{e:?}}}",
+                        k.label(),
+                    ),
+                    Err(panic) => println!(
+                        "{{\"backend\":\"{backend}\",\"attack\":\"{}\",\"cell\":\"{c:?}\",\
+                         \"seed\":{seed},\"panic\":{panic:?}}}",
+                        k.label(),
+                    ),
                 }
-                per_cell.push(mean(&ok));
             }
-            let cell = AttackCell {
-                attack: kind.label(),
-                backend: backend.label(),
-                baseline: per_cell[0],
-                attacked: per_cell[1],
-                defended: per_cell[2],
-            };
-            println!("{}", cell.to_json(MIN_INFLATION_PPM, RECOVERY_BOUND_PPM));
-            grid.push(cell);
+            per_cell.push(mean(&ok));
         }
+        let cell = AttackCell {
+            attack: kind.label(),
+            backend,
+            baseline: per_cell[0],
+            attacked: per_cell[1],
+            defended: per_cell[2],
+        };
+        println!("{}", cell.to_json(MIN_INFLATION_PPM, RECOVERY_BOUND_PPM));
+        grid.push(cell);
     }
+}
+
+fn main() {
+    let session = vscale_bench::session("attack_grid");
+    let seeds = seeds_from_env();
+
+    let mut grid = AttackGrid::default();
+    attack_rows::<CreditScheduler>(&seeds, &mut grid);
+    attack_rows::<Credit2Scheduler>(&seeds, &mut grid);
+    attack_rows::<DynFracScheduler>(&seeds, &mut grid);
 
     // Fleet-SLO lens: victim degradation vs attack intensity (number of
     // storm VMs) on the vulnerable credit backend, defenses off.
@@ -221,8 +203,7 @@ fn main() {
         .flat_map(|&n| seeds.iter().map(move |&s| (n, s)))
         .collect();
     let slo_results = run_items_parallel_checked(&slo_items, |&(n, seed)| {
-        run_on(
-            SchedBackend::Credit,
+        run_one::<CreditScheduler>(
             AttackKind::IpiStorm,
             AntagonistMode::Adversarial,
             DefenseConfig::default(),

@@ -1,7 +1,7 @@
 //! The figure grids with a **scheduler-backend axis**: reduced fig 6
 //! (NPB), fig 11 (PARSEC) and fig 14 (Apache) grids run on every
-//! [`SchedBackend`], so policy-sensitivity of the vScale win is visible
-//! per figure.
+//! `HypervisorSched` backend, so policy-sensitivity of the vScale win is
+//! visible per figure.
 //!
 //! Output is one JSON line per grid cell, keyed by
 //! `(figure, backend, app-or-rate, config)`. Under pinned seeds/scale
@@ -15,65 +15,81 @@
 //! parallel, insensitive); `streamcluster` (sync-heavy) and
 //! `blackscholes` (insensitive) for PARSEC.
 
-use vscale::config::{SchedBackend, SystemConfig};
+use vscale::config::SystemConfig;
 use vscale_bench::experiment::{
-    apache_experiment_backend, npb_experiment_backend, parsec_experiment_backend, seeds_from_env,
-    ExperimentScale,
+    apache_experiment_on, npb_experiment_on, parsec_experiment_on, seeds_from_env, ExperimentScale,
 };
 use workloads::npb;
 use workloads::parsec;
 use workloads::spin::SpinPolicy;
+use xen_sched::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
 
 const NPB_SUBSET: [&str; 3] = ["ft", "lu", "ep"];
 const PARSEC_SUBSET: [&str; 2] = ["streamcluster", "blackscholes"];
 const APACHE_RATES: [f64; 3] = [2_000.0, 6_000.0, 10_000.0];
+const VM_VCPUS: usize = 4;
 
 fn main() {
     let session = vscale_bench::session("backend_grid");
     let scale = ExperimentScale::from_env();
     let seeds = seeds_from_env();
-    let vm_vcpus = 4;
+    for lines in [
+        backend_cells::<CreditScheduler>(scale, &seeds),
+        backend_cells::<Credit2Scheduler>(scale, &seeds),
+        backend_cells::<DynFracScheduler>(scale, &seeds),
+    ] {
+        for line in lines {
+            println!("{line}");
+        }
+    }
+    // Human-readable recap: normalized vScale win per backend on the
+    // sensitive NPB app (ft), averaged over seeds, from a re-run of the
+    // same deterministic cells would be redundant — instead summarize
+    // from the printed lines downstream (EXPERIMENTS.md records them).
+    session.finish();
+}
 
-    // One flat (figure-cell, seed) work-list across all three figures so
-    // VSCALE_THREADS workers stay busy end-to-end; results merge in item
-    // order, keeping output byte-identical at any thread count.
+/// Every grid cell of backend `S`, one JSON line each. One flat
+/// (figure-cell, seed) work-list across all three figures keeps
+/// VSCALE_THREADS workers busy; results merge in item order, keeping
+/// output byte-identical at any thread count.
+fn backend_cells<S: HypervisorSched>(scale: ExperimentScale, seeds: &[u64]) -> Vec<String> {
     #[derive(Clone, Copy)]
     enum Cell {
-        Npb(SchedBackend, usize, SystemConfig),
-        Parsec(SchedBackend, usize, SystemConfig),
-        Apache(SchedBackend, f64, SystemConfig),
+        Npb(usize, SystemConfig),
+        Parsec(usize, SystemConfig),
+        Apache(f64, SystemConfig),
     }
     let mut items: Vec<(Cell, u64)> = Vec::new();
-    for backend in SchedBackend::ALL {
-        for (ai, _) in NPB_SUBSET.iter().enumerate() {
-            for cfg in SystemConfig::ALL {
-                for &s in &seeds {
-                    items.push((Cell::Npb(backend, ai, cfg), s));
-                }
-            }
-        }
-        for (ai, _) in PARSEC_SUBSET.iter().enumerate() {
-            for cfg in SystemConfig::ALL {
-                for &s in &seeds {
-                    items.push((Cell::Parsec(backend, ai, cfg), s));
-                }
-            }
-        }
-        for rate in APACHE_RATES {
-            for cfg in SystemConfig::ALL {
-                // Apache runs a fixed-rate open-loop client; one seed
-                // matches the fig14 bench.
-                items.push((Cell::Apache(backend, rate, cfg), 0xf14e));
+    for (ai, _) in NPB_SUBSET.iter().enumerate() {
+        for cfg in SystemConfig::ALL {
+            for &s in seeds {
+                items.push((Cell::Npb(ai, cfg), s));
             }
         }
     }
-    let results = testkit::parallel::run_items_parallel(&items, |&(cell, seed)| match cell {
-        Cell::Npb(b, ai, cfg) => {
+    for (ai, _) in PARSEC_SUBSET.iter().enumerate() {
+        for cfg in SystemConfig::ALL {
+            for &s in seeds {
+                items.push((Cell::Parsec(ai, cfg), s));
+            }
+        }
+    }
+    for rate in APACHE_RATES {
+        for cfg in SystemConfig::ALL {
+            // Apache runs a fixed-rate open-loop client; one seed
+            // matches the fig14 bench.
+            items.push((Cell::Apache(rate, cfg), 0xf14e));
+        }
+    }
+    let backend = S::backend_name();
+    testkit::parallel::run_items_parallel(&items, |&(cell, seed)| match cell {
+        Cell::Npb(ai, cfg) => {
             let app = npb::app(NPB_SUBSET[ai]).expect("known app");
-            let r = npb_experiment_backend(b, cfg, app, vm_vcpus, SpinPolicy::Default, scale, seed);
+            let r = npb_experiment_on::<S>(cfg, app, VM_VCPUS, SpinPolicy::Default, scale, seed);
             format!(
                 "{{\"figure\":\"fig6\",\"backend\":\"{}\",\"app\":\"{}\",\"config\":\"{}\",\"seed\":{},\"exec_s\":{:.4},\"wait_s\":{:.4},\"ipis_per_vcpu_s\":{:.2}}}",
-                b.label(),
+                backend,
                 NPB_SUBSET[ai],
                 cfg.label(),
                 seed,
@@ -82,12 +98,12 @@ fn main() {
                 r.ipis_per_vcpu_per_sec,
             )
         }
-        Cell::Parsec(b, ai, cfg) => {
+        Cell::Parsec(ai, cfg) => {
             let app = parsec::app(PARSEC_SUBSET[ai]).expect("known app");
-            let r = parsec_experiment_backend(b, cfg, app, vm_vcpus, scale, seed);
+            let r = parsec_experiment_on::<S>(cfg, app, VM_VCPUS, scale, seed);
             format!(
                 "{{\"figure\":\"fig11\",\"backend\":\"{}\",\"app\":\"{}\",\"config\":\"{}\",\"seed\":{},\"exec_s\":{:.4},\"wait_s\":{:.4},\"ipis_per_vcpu_s\":{:.2}}}",
-                b.label(),
+                backend,
                 PARSEC_SUBSET[ai],
                 cfg.label(),
                 seed,
@@ -96,11 +112,11 @@ fn main() {
                 r.ipis_per_vcpu_per_sec,
             )
         }
-        Cell::Apache(b, rate, cfg) => {
-            let s = apache_experiment_backend(b, cfg, rate, scale, 0xf14e);
+        Cell::Apache(rate, cfg) => {
+            let s = apache_experiment_on::<S>(cfg, rate, scale, 0xf14e);
             format!(
                 "{{\"figure\":\"fig14\",\"backend\":\"{}\",\"rate_per_s\":{:.0},\"config\":\"{}\",\"reply_per_s\":{:.1},\"conn_ms\":{:.3},\"resp_ms\":{:.3},\"drops\":{}}}",
-                b.label(),
+                backend,
                 rate,
                 cfg.label(),
                 s.reply_rate,
@@ -109,13 +125,5 @@ fn main() {
                 s.drops,
             )
         }
-    });
-    for line in results {
-        println!("{line}");
-    }
-    // Human-readable recap: normalized vScale win per backend on the
-    // sensitive NPB app (ft), averaged over seeds, from a re-run of the
-    // same deterministic cells would be redundant — instead summarize
-    // from the printed lines downstream (EXPERIMENTS.md records them).
-    session.finish();
+    })
 }

@@ -6,14 +6,14 @@
 //! vCPUs equally.
 
 use sim_core::time::{SimDuration, SimTime};
-use vscale::config::{DomainSpec, MachineConfig, SchedBackend, SystemConfig};
+use vscale::config::{DomainSpec, MachineConfig, SystemConfig};
 use vscale::{DomId, Machine};
 use workloads::apache::{self, ApacheConfig, HttperfSummary};
 use workloads::desktop::{self, SlideshowConfig};
 use workloads::npb::{self, NpbApp};
 use workloads::parsec::{self, ParsecApp};
 use workloads::spin::SpinPolicy;
-use xen_sched::{Credit2Scheduler, CreditScheduler, DynFracScheduler, HypervisorSched};
+use xen_sched::{CreditScheduler, HypervisorSched};
 
 /// Scales experiment length: benches default to [`ExperimentScale::Quick`]
 /// so `cargo bench` stays tractable; set `VSCALE_BENCH_SCALE=full` for
@@ -368,72 +368,6 @@ pub fn parsec_grid_avg(
     flat.chunks(SystemConfig::ALL.len())
         .map(<[AppResult]>::to_vec)
         .collect()
-}
-
-/// [`npb_experiment`] dispatched over the runtime [`SchedBackend`] tag.
-pub fn npb_experiment_backend(
-    backend: SchedBackend,
-    cfg: SystemConfig,
-    app: NpbApp,
-    vm_vcpus: usize,
-    policy: SpinPolicy,
-    scale: ExperimentScale,
-    seed: u64,
-) -> AppResult {
-    match backend {
-        SchedBackend::Credit => {
-            npb_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, policy, scale, seed)
-        }
-        SchedBackend::Credit2 => {
-            npb_experiment_on::<Credit2Scheduler>(cfg, app, vm_vcpus, policy, scale, seed)
-        }
-        SchedBackend::DynFrac => {
-            npb_experiment_on::<DynFracScheduler>(cfg, app, vm_vcpus, policy, scale, seed)
-        }
-    }
-}
-
-/// [`parsec_experiment`] dispatched over the runtime [`SchedBackend`] tag.
-pub fn parsec_experiment_backend(
-    backend: SchedBackend,
-    cfg: SystemConfig,
-    app: ParsecApp,
-    vm_vcpus: usize,
-    scale: ExperimentScale,
-    seed: u64,
-) -> AppResult {
-    match backend {
-        SchedBackend::Credit => {
-            parsec_experiment_on::<CreditScheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
-        SchedBackend::Credit2 => {
-            parsec_experiment_on::<Credit2Scheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
-        SchedBackend::DynFrac => {
-            parsec_experiment_on::<DynFracScheduler>(cfg, app, vm_vcpus, scale, seed)
-        }
-    }
-}
-
-/// [`apache_experiment`] dispatched over the runtime [`SchedBackend`] tag.
-pub fn apache_experiment_backend(
-    backend: SchedBackend,
-    cfg: SystemConfig,
-    rate_per_sec: f64,
-    scale: ExperimentScale,
-    seed: u64,
-) -> HttperfSummary {
-    match backend {
-        SchedBackend::Credit => {
-            apache_experiment_on::<CreditScheduler>(cfg, rate_per_sec, scale, seed)
-        }
-        SchedBackend::Credit2 => {
-            apache_experiment_on::<Credit2Scheduler>(cfg, rate_per_sec, scale, seed)
-        }
-        SchedBackend::DynFrac => {
-            apache_experiment_on::<DynFracScheduler>(cfg, rate_per_sec, scale, seed)
-        }
-    }
 }
 
 /// Convenience: the four-config comparison the application figures plot.

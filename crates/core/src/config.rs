@@ -199,40 +199,6 @@ impl DomainSpec {
     }
 }
 
-/// The scheduler-policy axis of the figure grids: which
-/// `HypervisorSched` backend the hypervisor runs. The paper evaluates
-/// against Xen's credit scheduler only; the other two backends probe how
-/// much of vScale's benefit is policy-independent. This is a runtime tag
-/// — `Machine` is generic over the backend at compile time, so consumers
-/// match on it to pick a monomorphized experiment function.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchedBackend {
-    /// Xen's credit scheduler with the §4.2 modification (the paper's).
-    Credit,
-    /// Credit2-style per-pCPU runqueues with credit-reset epochs.
-    Credit2,
-    /// Dynamic-fractional continuous shares (à la Casanova et al.).
-    DynFrac,
-}
-
-impl SchedBackend {
-    /// All backends, credit (the reference) first.
-    pub const ALL: [SchedBackend; 3] = [
-        SchedBackend::Credit,
-        SchedBackend::Credit2,
-        SchedBackend::DynFrac,
-    ];
-
-    /// Stable short name, matching `HypervisorSched::backend_name`.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedBackend::Credit => "credit",
-            SchedBackend::Credit2 => "credit2",
-            SchedBackend::DynFrac => "dynfrac",
-        }
-    }
-}
-
 /// The four comparison configurations of the paper's §5.2 experiments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SystemConfig {
