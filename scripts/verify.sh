@@ -188,6 +188,13 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "== tier-1: rustfmt (--check) =="
 cargo fmt --check
 
+echo "== tier-1: perfbench builds and tests against the current crates (offline) =="
+# perfbench is a cargo workspace of its own over the repository crates by
+# path; building it here makes a shared-crate API change that breaks the
+# benchmark fail locally. Same target dir as perfbench/README.md.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench smoke: table1_channel + fig6_npb (quick scale) =="
 VSCALE_BENCH_SCALE="${VSCALE_BENCH_SCALE:-quick}" VSCALE_BENCH_SEEDS="${VSCALE_BENCH_SEEDS:-1}" \
     cargo bench -q --offline -p vscale-bench --bench table1_channel
